@@ -61,4 +61,21 @@ fn multimode_s15850_matches_golden() {
         .with_sample_count(8);
     let out = ClkWaveMinM::new(cfg).run(&d).expect("optimize");
     check("multimode_s15850", &out);
+
+    // A second input that finishes in phase 1 (polarity assignment and
+    // sizing alone, no ADBs), so the ADB-free path is frozen too.
+    let d = Design::from_benchmark_multimode_levels(
+        &Benchmark::s15850(),
+        4,
+        4,
+        4,
+        wavemin_cells::units::Volts::new(0.9),
+        wavemin_cells::units::Volts::new(1.1),
+    );
+    let cfg = WaveMinConfig::default()
+        .with_skew_bound(wavemin_cells::units::Picoseconds::new(20.0))
+        .with_sample_count(8);
+    let out = ClkWaveMinM::new(cfg).run(&d).expect("optimize");
+    assert_eq!(out.adb_count, 0, "this input must finish in phase 1");
+    check("multimode_s15850_phase1", &out);
 }

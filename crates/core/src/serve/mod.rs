@@ -25,9 +25,10 @@
 //! [`ServeOptions::log_json`] each job lifecycle event additionally
 //! emits one structured JSON line on stderr.
 //!
-//! `SIGTERM`/`SIGINT` (or a `shutdown` command) stop the accept loop,
-//! drain in-flight connections and queued jobs, unlink the socket, and
-//! return cleanly.
+//! A `shutdown` command stops the daemon that received it; `SIGTERM`/
+//! `SIGINT` stop every daemon in the process. Either way the accept loop
+//! exits, in-flight connections and queued jobs drain, the socket is
+//! unlinked, and `run` returns cleanly.
 
 pub mod protocol;
 
@@ -79,11 +80,12 @@ impl Default for ServeOptions {
     }
 }
 
-/// Set by the signal handler; polled by the accept loop.
-static SHUTDOWN: AtomicBool = AtomicBool::new(false);
+/// Set by the signal handler; every daemon's accept loop polls it next
+/// to its own [`ServerState::shutdown`] flag.
+static SIGNALLED: AtomicBool = AtomicBool::new(false);
 
 extern "C" fn request_shutdown(_signum: i32) {
-    SHUTDOWN.store(true, Ordering::SeqCst);
+    SIGNALLED.store(true, Ordering::SeqCst);
 }
 
 extern "C" {
@@ -167,6 +169,9 @@ struct ServerState {
     /// Daemon-lifetime registry: finished jobs' histograms are absorbed
     /// here, so the `metrics` verb sees latency across all jobs.
     metrics: MetricsRegistry,
+    /// Set by this daemon's `shutdown` verb; other daemons in the same
+    /// process keep serving.
+    shutdown: AtomicBool,
 }
 
 impl ServerState {
@@ -237,7 +242,6 @@ impl ServerState {
 /// Socket bind/configuration failures. Per-connection and per-job
 /// failures are reported to the client, never escalated here.
 pub fn run(opts: ServeOptions) -> Result<(), std::io::Error> {
-    SHUTDOWN.store(false, Ordering::SeqCst);
     let socket_path = opts.socket_path.clone();
     // A stale socket file from an unclean previous exit blocks bind.
     let _ = std::fs::remove_file(&socket_path);
@@ -261,6 +265,7 @@ pub fn run(opts: ServeOptions) -> Result<(), std::io::Error> {
         jobs_completed: AtomicU64::new(0),
         jobs_failed: AtomicU64::new(0),
         metrics: MetricsRegistry::enabled(false),
+        shutdown: AtomicBool::new(false),
     });
     log_json(
         &state,
@@ -281,7 +286,7 @@ pub fn run(opts: ServeOptions) -> Result<(), std::io::Error> {
         );
     }
 
-    while !SHUTDOWN.load(Ordering::SeqCst) {
+    while !state.shutdown.load(Ordering::SeqCst) && !SIGNALLED.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _addr)) => {
                 let st = Arc::clone(&state);
@@ -744,7 +749,7 @@ fn serve_connection(state: &ServerState, stream: UnixStream) {
                 }
             }
             Ok(Request::Shutdown) => {
-                SHUTDOWN.store(true, Ordering::SeqCst);
+                state.shutdown.store(true, Ordering::SeqCst);
                 let bye = ok_response(vec![("shutting_down".to_string(), Value::Bool(true))]);
                 let _ = writeln!(writer, "{bye}");
                 let _ = writer.flush();
@@ -843,7 +848,6 @@ mod tests {
 "#,
         )
         .expect("write sdf");
-        SHUTDOWN.store(false, Ordering::SeqCst);
         let opts = ServeOptions {
             socket_path: socket_path.clone(),
             workers: 1,
@@ -889,7 +893,6 @@ mod tests {
         let dir = std::env::temp_dir();
         let socket = dir.join(format!("wavemin-serve-test-{}.sock", std::process::id()));
         let socket_path = socket.to_string_lossy().to_string();
-        SHUTDOWN.store(false, Ordering::SeqCst);
         let opts = ServeOptions {
             socket_path: socket_path.clone(),
             workers: 2,
@@ -998,5 +1001,55 @@ mod tests {
             .expect("server thread")
             .expect("clean shutdown");
         assert!(!socket.exists(), "socket must be unlinked on shutdown");
+    }
+
+    #[test]
+    fn shutting_down_one_daemon_leaves_another_serving() {
+        let start = |name: &str| {
+            let socket = std::env::temp_dir().join(format!(
+                "wavemin-serve-pair-{name}-{}.sock",
+                std::process::id()
+            ));
+            let opts = ServeOptions {
+                socket_path: socket.to_string_lossy().to_string(),
+                workers: 1,
+                cache_bytes: 16 << 20,
+                threads: Some(1),
+                log_json: false,
+            };
+            let server = std::thread::spawn(move || run(opts));
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !socket.exists() && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            (socket.to_string_lossy().to_string(), server)
+        };
+        let (first, first_server) = start("first");
+        let (second, second_server) = start("second");
+        let ask = |socket: &str, line: &str| client_request(socket, line).expect("request");
+
+        let loaded = ask(
+            &second,
+            r#"{"cmd":"load","session":"kept","benchmark":"s15850","seed":11}"#,
+        );
+        assert!(loaded.contains("\"ok\":true"), "{loaded}");
+
+        let bye = ask(&first, r#"{"cmd":"shutdown"}"#);
+        assert!(bye.contains("\"shutting_down\":true"), "{bye}");
+        first_server
+            .join()
+            .expect("first server thread")
+            .expect("clean shutdown");
+
+        let stats = ask(&second, r#"{"cmd":"stats","session":"kept"}"#);
+        assert!(stats.contains("\"ok\":true"), "{stats}");
+        assert!(stats.contains("\"session\":\"kept\""), "{stats}");
+
+        let bye = ask(&second, r#"{"cmd":"shutdown"}"#);
+        assert!(bye.contains("\"shutting_down\":true"), "{bye}");
+        second_server
+            .join()
+            .expect("second server thread")
+            .expect("clean shutdown");
     }
 }

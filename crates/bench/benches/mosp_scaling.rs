@@ -8,14 +8,24 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use wavemin::prelude::*;
 use wavemin_bench::mosp_fixtures::layered;
-use wavemin_mosp::solve;
+use wavemin_mosp::{solve, SolveSpec};
+
+/// The ε-approximation with the production label cap.
+fn approximate(epsilon: f64) -> SolveSpec {
+    SolveSpec {
+        epsilon: Some(epsilon),
+        max_labels: Some(64),
+        ..SolveSpec::default()
+    }
+}
 
 fn bench_rows(c: &mut Criterion) {
     let mut group = c.benchmark_group("warburton_rows");
     for rows in [2usize, 4, 8] {
         let (g, s, t) = layered(rows, 4, 8, 1);
+        let spec = approximate(0.01);
         group.bench_with_input(BenchmarkId::from_parameter(rows), &g, |b, g| {
-            b.iter(|| solve::warburton_capped(g, s, t, 0.01, Some(64)).unwrap());
+            b.iter(|| solve::solve(g, s, t, &spec, None).unwrap());
         });
     }
     group.finish();
@@ -25,8 +35,9 @@ fn bench_dims(c: &mut Criterion) {
     let mut group = c.benchmark_group("warburton_dims");
     for dims in [4usize, 32, 156] {
         let (g, s, t) = layered(5, 4, dims, 2);
+        let spec = approximate(0.01);
         group.bench_with_input(BenchmarkId::from_parameter(dims), &g, |b, g| {
-            b.iter(|| solve::warburton_capped(g, s, t, 0.01, Some(64)).unwrap());
+            b.iter(|| solve::solve(g, s, t, &spec, None).unwrap());
         });
     }
     group.finish();
@@ -35,14 +46,19 @@ fn bench_dims(c: &mut Criterion) {
 fn bench_exact_vs_warburton(c: &mut Criterion) {
     let (g, s, t) = layered(6, 4, 8, 3);
     let mut group = c.benchmark_group("solver_kind");
+    let exact = SolveSpec {
+        max_labels: Some(64),
+        ..SolveSpec::default()
+    };
     group.bench_function("exact", |b| {
-        b.iter(|| solve::exact(&g, s, t, Some(64)).unwrap());
+        b.iter(|| solve::solve(&g, s, t, &exact, None).unwrap());
     });
+    let (e01, e50) = (approximate(0.01), approximate(0.5));
     group.bench_function("warburton_e01", |b| {
-        b.iter(|| solve::warburton_capped(&g, s, t, 0.01, Some(64)).unwrap());
+        b.iter(|| solve::solve(&g, s, t, &e01, None).unwrap());
     });
     group.bench_function("warburton_e50", |b| {
-        b.iter(|| solve::warburton_capped(&g, s, t, 0.5, Some(64)).unwrap());
+        b.iter(|| solve::solve(&g, s, t, &e50, None).unwrap());
     });
     group.finish();
 }
@@ -117,12 +133,11 @@ fn bench_metrics_overhead(c: &mut Criterion) {
 /// production default, one branch per hook site — and must stay within
 /// noise of the plain `run`; `enabled` bounds what a full journal costs an
 /// end-to-end run. Solver-level, `enabled` drives the `warburton_rows/8`
-/// fixture through `warburton_observed` with a live handle recording every
+/// fixture through `solve::solve` with a live handle recording every
 /// layer and label batch — the finest-grained ceiling, budgeted at under
 /// 5 % over the unobserved baseline on this fixture.
 fn bench_trace_overhead(c: &mut Criterion) {
     use wavemin::trace::TraceJournal;
-    use wavemin_mosp::Budget;
 
     let design = Design::from_benchmark(&Benchmark::s13207(), 1);
     let mut group = c.benchmark_group("trace_overhead");
@@ -151,11 +166,12 @@ fn bench_trace_overhead(c: &mut Criterion) {
     });
 
     let (g, s, t) = layered(8, 4, 8, 1);
+    let spec = approximate(0.01);
     group.bench_with_input(
         BenchmarkId::new("warburton_rows/8", "baseline"),
         &g,
         |b, g| {
-            b.iter(|| solve::warburton_capped(g, s, t, 0.01, Some(64)).unwrap());
+            b.iter(|| solve::solve(g, s, t, &spec, None).unwrap());
         },
     );
     group.bench_with_input(
@@ -167,16 +183,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
                 // saturates into the (cheaper) overflow-drop path.
                 let journal = TraceJournal::enabled();
                 let mut handle = journal.handle();
-                let set = solve::warburton_observed(
-                    g,
-                    s,
-                    t,
-                    0.01,
-                    Some(64),
-                    &Budget::unlimited(),
-                    Some(&mut handle),
-                )
-                .unwrap();
+                let set = solve::solve(g, s, t, &spec, Some(&mut handle)).unwrap();
                 handle.flush();
                 std::hint::black_box(set)
             });

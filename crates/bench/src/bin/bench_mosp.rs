@@ -11,7 +11,7 @@ use std::time::Duration;
 use wavemin::prelude::*;
 use wavemin_bench::mosp_fixtures::{layered, median_secs};
 use wavemin_bench::{append_history, ExperimentArgs};
-use wavemin_mosp::{kernels, solve, Kernel};
+use wavemin_mosp::{kernels, solve, Kernel, SolveSpec};
 
 /// One timed measurement, named like its criterion counterpart, with the
 /// solver's label counters from an instrumented reference solve. Each
@@ -127,29 +127,45 @@ fn measure(name: String, run: impl Fn() -> wavemin_mosp::ParetoSet) -> Measureme
     }
 }
 
+/// The ε-approximation with the production label cap.
+fn approximate(epsilon: f64) -> SolveSpec {
+    SolveSpec {
+        epsilon: Some(epsilon),
+        max_labels: Some(64),
+        ..SolveSpec::default()
+    }
+}
+
 #[allow(clippy::unwrap_used)]
 fn solver_measurements() -> Vec<Measurement> {
     let mut out = Vec::new();
     for rows in [2usize, 4, 8] {
         let (g, s, t) = layered(rows, 4, 8, 1);
+        let spec = approximate(0.01);
         out.push(measure(format!("warburton_rows/{rows}"), || {
-            solve::warburton_capped(&g, s, t, 0.01, Some(64)).unwrap()
+            solve::solve(&g, s, t, &spec, None).unwrap()
         }));
     }
     for dims in [4usize, 32, 156] {
         let (g, s, t) = layered(5, 4, dims, 2);
+        let spec = approximate(0.01);
         out.push(measure(format!("warburton_dims/{dims}"), || {
-            solve::warburton_capped(&g, s, t, 0.01, Some(64)).unwrap()
+            solve::solve(&g, s, t, &spec, None).unwrap()
         }));
     }
     let (g, s, t) = layered(6, 4, 8, 3);
     for (name, eps) in [("warburton_e01", 0.01), ("warburton_e50", 0.5)] {
+        let spec = approximate(eps);
         out.push(measure(format!("solver_kind/{name}"), || {
-            solve::warburton_capped(&g, s, t, eps, Some(64)).unwrap()
+            solve::solve(&g, s, t, &spec, None).unwrap()
         }));
     }
+    let exact = SolveSpec {
+        max_labels: Some(64),
+        ..SolveSpec::default()
+    };
     out.push(measure("solver_kind/exact".to_owned(), || {
-        solve::exact(&g, s, t, Some(64)).unwrap()
+        solve::solve(&g, s, t, &exact, None).unwrap()
     }));
     out
 }

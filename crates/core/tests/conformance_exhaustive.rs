@@ -79,7 +79,7 @@ fn exact_solver_matches_exhaustive_optimum() {
 }
 
 #[test]
-fn warburton_solver_matches_optimum_on_strict_family() {
+fn approximate_solver_matches_optimum_on_strict_family() {
     // ε = 0.01 cannot misrank on a family where the sampled objective is
     // faithful: the approximation error is far below the cost separation.
     let worst = worst_ratio(
@@ -110,7 +110,7 @@ fn exact_solver_stays_within_model_gap_on_hard_family() {
 }
 
 #[test]
-fn warburton_solver_stays_within_documented_ratio() {
+fn approximate_solver_stays_within_documented_ratio() {
     // Calibrated worst case 1.033 (the sampled-model gap dominates the
     // ε-approximation error); documented bound 10 %.
     let worst = worst_ratio("warburton/hard", hard_design, hard_config, |d, cfg| {

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use wavemin_mosp::pareto::dominates;
-use wavemin_mosp::{solve, MospGraph, VertexId};
+use wavemin_mosp::{solve, MospGraph, SolveSpec, VertexId};
 
 /// The old storage layout: every arc owns its weight vector.
 #[derive(Debug, Clone, Default)]
@@ -170,7 +170,7 @@ proptest! {
 
     #[test]
     fn pareto_front_matches_reference_brute_force(p in arb_paired(4, 3, 3)) {
-        let set = solve::exact(&p.arena, VertexId(p.src), VertexId(p.dest), None).unwrap();
+        let set = solve::solve(&p.arena, VertexId(p.src), VertexId(p.dest), &SolveSpec::default(), None).unwrap();
         let brute = p.reference.all_costs(p.src, p.dest);
         for path in set.paths() {
             prop_assert!(

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use wavemin_mosp::pareto::dominates;
-use wavemin_mosp::{solve, MospGraph, VertexId};
+use wavemin_mosp::{solve, MospGraph, SolveSpec, VertexId};
 
 /// A random layered DAG shaped like a WaveMin zone instance.
 #[derive(Debug, Clone)]
@@ -69,7 +69,7 @@ proptest! {
 
     #[test]
     fn exact_returns_exactly_the_pareto_front(l in arb_layered(4, 3, 3)) {
-        let set = solve::exact(&l.graph, l.src, l.dest, None).unwrap();
+        let set = solve::solve(&l.graph, l.src, l.dest, &SolveSpec::default(), None).unwrap();
         let brute = brute_force_costs(&l);
         // Soundness: no returned path is dominated by any path.
         for p in set.paths() {
@@ -91,9 +91,9 @@ proptest! {
     }
 
     #[test]
-    fn warburton_respects_epsilon_guarantee(l in arb_layered(4, 3, 3), eps in 0.01..0.6f64) {
-        let exact = solve::exact(&l.graph, l.src, l.dest, None).unwrap();
-        let approx = solve::warburton(&l.graph, l.src, l.dest, eps).unwrap();
+    fn approximation_respects_epsilon_guarantee(l in arb_layered(4, 3, 3), eps in 0.01..0.6f64) {
+        let exact = solve::solve(&l.graph, l.src, l.dest, &SolveSpec::default(), None).unwrap();
+        let approx = solve::solve(&l.graph, l.src, l.dest, &SolveSpec { epsilon: Some(eps), ..SolveSpec::default() }, None).unwrap();
         let opt = exact.min_max().unwrap().max_component();
         let got = approx.min_max().unwrap().max_component();
         prop_assert!(
@@ -106,7 +106,7 @@ proptest! {
 
     #[test]
     fn returned_paths_are_mutually_nondominated(l in arb_layered(5, 4, 2)) {
-        let set = solve::exact(&l.graph, l.src, l.dest, None).unwrap();
+        let set = solve::solve(&l.graph, l.src, l.dest, &SolveSpec::default(), None).unwrap();
         for (i, a) in set.paths().iter().enumerate() {
             for (j, b) in set.paths().iter().enumerate() {
                 if i != j {
@@ -118,7 +118,7 @@ proptest! {
 
     #[test]
     fn path_costs_re_add_along_vertices(l in arb_layered(4, 3, 2)) {
-        let set = solve::exact(&l.graph, l.src, l.dest, None).unwrap();
+        let set = solve::solve(&l.graph, l.src, l.dest, &SolveSpec::default(), None).unwrap();
         for p in set.paths() {
             let mut cost = vec![0.0; l.graph.dim()];
             for w in p.vertices.windows(2) {
@@ -141,7 +141,7 @@ proptest! {
     fn label_cap_never_loses_feasibility(l in arb_layered(5, 3, 3), cap in 1usize..8) {
         // Capped solves may be suboptimal but must still return a path
         // whose cost is a genuine path cost.
-        let set = solve::exact(&l.graph, l.src, l.dest, Some(cap)).unwrap();
+        let set = solve::solve(&l.graph, l.src, l.dest, &SolveSpec { max_labels: Some(cap), ..SolveSpec::default() }, None).unwrap();
         prop_assert!(!set.paths().is_empty());
         let brute = brute_force_costs(&l);
         for p in set.paths() {

@@ -120,7 +120,7 @@ fn charge_conservation_through_the_stack() {
 fn mosp_solution_is_reproducible_from_pieces() {
     // Build a WaveMin-shaped MOSP graph by hand and check the solver picks
     // the same kind of min-max split the optimizer relies on.
-    use wavemin_mosp::{solve, MospGraph};
+    use wavemin_mosp::{solve, MospGraph, SolveSpec};
     let mut g = MospGraph::new(4);
     let src = g.add_vertex();
     let a_buf = g.add_vertex();
@@ -140,7 +140,17 @@ fn mosp_solution_is_reproducible_from_pieces() {
     for u in [b_buf, b_inv] {
         g.add_arc(u, dest, vec![0.0; 4]).unwrap();
     }
-    let set = solve::warburton(&g, src, dest, 0.01).unwrap();
+    let set = solve::solve(
+        &g,
+        src,
+        dest,
+        &SolveSpec {
+            epsilon: Some(0.01),
+            ..SolveSpec::default()
+        },
+        None,
+    )
+    .unwrap();
     let best = set.min_max().unwrap();
     // Min-max splits one buffer + one inverter: worst slot 110.
     assert!((best.max_component() - 110.0).abs() < 2.0);

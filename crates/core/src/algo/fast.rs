@@ -1,12 +1,11 @@
 //! ClkWaveMin-f: the fast greedy variant (Section V-C).
 
-use crate::algo::{run_interval_framework, Outcome, ZoneProblem, ZoneSolution, ZoneSolver};
+use crate::algo::{optimize_single_mode, Outcome, ZoneInput, ZoneSolution, ZoneSolver};
 use crate::config::WaveMinConfig;
 use crate::design::Design;
 use crate::error::WaveMinError;
-use crate::intervals::FeasibleInterval;
-use crate::noise_table::NoiseTable;
-use crate::observe::{MetricsRegistry, ReportContext, ZoneSolveRecord};
+use crate::observe::{MetricsRegistry, ProgressTracker, ZoneSolveRecord};
+use crate::trace::TraceJournal;
 use wavemin_cells::units::Picoseconds;
 use wavemin_mosp::SolveStats;
 
@@ -51,16 +50,14 @@ impl ClkWaveMinFast {
     /// Same contract as [`crate::algo::ClkWaveMin::run`].
     pub fn run(&self, design: &Design) -> Result<Outcome, WaveMinError> {
         let registry = MetricsRegistry::from_config(&self.config);
-        let solver = GreedyZoneSolver::new(registry.clone());
-        let mut out = run_interval_framework(design, &self.config, &solver, &registry)?;
-        out.report = registry.report(&ReportContext {
-            threads: self.config.effective_threads(),
-            degenerate_zones: out.degenerate_zones,
-            ladder_rung: 0,
-            budget_units: 0,
-            kernel: wavemin_mosp::kernels::active().name(),
-        });
-        Ok(out)
+        optimize_single_mode(
+            design,
+            &self.config,
+            &GreedyZoneSolver::new(registry.clone()),
+            &registry,
+            &TraceJournal::disabled(),
+            &ProgressTracker::disabled(),
+        )
     }
 }
 
@@ -76,43 +73,40 @@ impl GreedyZoneSolver {
 }
 
 impl ZoneSolver for GreedyZoneSolver {
-    fn solve_zone(
-        &self,
-        table: &NoiseTable,
-        zone: &ZoneProblem,
-        interval: &FeasibleInterval,
-        extra: &crate::noise_table::BackgroundAccumulator,
-    ) -> Result<ZoneSolution, WaveMinError> {
+    fn solve_zone(&self, zone: &ZoneInput<'_>) -> Result<ZoneSolution, WaveMinError> {
         let started = self.registry.is_enabled().then(std::time::Instant::now);
         let mut work = 0_u64;
-        let rows = zone.sinks.len();
-        let allowed = interval.allowed_for(&zone.sinks);
-        // Candidate (row, option, code, vector) tuples.
-        let mut candidates: Vec<Vec<(usize, Picoseconds, Vec<f64>)>> = Vec::with_capacity(rows);
+        let modes = zone.modes();
+        let allowed = zone.allowed();
+        let rows = allowed.len();
+        // Per row, the candidate options with their per-mode codes (a
+        // `modes`-wide row of `codes`) and sampled vectors.
+        let mut candidates: Vec<Vec<(usize, Vec<f64>)>> = Vec::with_capacity(rows);
+        let mut codes: Vec<Vec<Picoseconds>> = Vec::with_capacity(rows);
         for (local, opts) in allowed.iter().enumerate() {
             let mut row = Vec::new();
+            let mut row_codes = Vec::new();
             for &opt in opts.iter() {
-                let si = zone.sinks[local];
-                let o = &table.sinks[si].options[opt];
-                if let Some(code) = o.delay_code_for(interval.t_lo, interval.t_hi) {
-                    row.push((opt, code, zone.option_vector(table, local, opt, code)));
+                let mut vector = Vec::new();
+                if zone.push_option(local, opt, &mut row_codes, &mut vector) {
+                    row.push((opt, vector));
                 }
             }
             if row.is_empty() {
                 return Err(WaveMinError::NoFeasibleInterval);
             }
             candidates.push(row);
+            codes.push(row_codes);
         }
 
-        let mut sum = zone.background.clone();
-        zone.plan.accumulate_background_into(&mut sum, extra);
-        let mut choices = vec![(usize::MAX, Picoseconds::ZERO); rows];
+        let mut sum = zone.background();
+        let mut choices = vec![(usize::MAX, Picoseconds::ZERO); rows * modes];
         let mut remaining: Vec<usize> = (0..rows).collect();
         while !remaining.is_empty() {
             // Globally least-worsening vertex over all unassigned rows.
             let mut best: Option<(usize, usize, f64)> = None; // (row, cand idx, M)
             for &row in &remaining {
-                for (ci, (_, _, vector)) in candidates[row].iter().enumerate() {
+                for (ci, (_, vector)) in candidates[row].iter().enumerate() {
                     work += 1;
                     let m = wavemin_mosp::kernels::add_max(&sum, vector);
                     if best.is_none_or(|(_, _, bm)| m < bm) {
@@ -125,15 +119,17 @@ impl ZoneSolver for GreedyZoneSolver {
             let Some((row, ci, _)) = best else {
                 return Err(WaveMinError::NoFeasibleInterval);
             };
-            let (opt, code, ref vector) = candidates[row][ci];
+            let (opt, ref vector) = candidates[row][ci];
             wavemin_mosp::kernels::add_assign(&mut sum, vector);
-            choices[row] = (opt, code);
+            for (m, &code) in codes[row][ci * modes..(ci + 1) * modes].iter().enumerate() {
+                choices[row * modes + m] = (opt, code);
+            }
             remaining.retain(|&r| r != row);
         }
         let cost = wavemin_mosp::kernels::max_component(&sum).max(0.0);
         if let Some(started) = started {
             self.registry.record_zone_solve(
-                zone.id,
+                zone.id(),
                 &ZoneSolveRecord {
                     stats: SolveStats {
                         labels_created: rows as u64,
@@ -160,27 +156,25 @@ impl ZoneSolver for GreedyZoneSolver {
 #[allow(clippy::items_after_test_module)]
 fn greedy_vs_mosp_zone_cost(
     config: &WaveMinConfig,
-    table: &NoiseTable,
-    zone: &ZoneProblem,
-    interval: &FeasibleInterval,
+    zone: &ZoneInput<'_>,
 ) -> Result<(f64, f64), WaveMinError> {
-    use crate::algo::clkwavemin::MospZoneSolver;
-    let zero = crate::noise_table::BackgroundAccumulator::zero();
-    let greedy = GreedyZoneSolver::new(MetricsRegistry::disabled())
-        .solve_zone(table, zone, interval, &zero)?;
-    let mosp = MospZoneSolver::new(
+    use crate::algo::clkwavemin::MospLadder;
+    let greedy = GreedyZoneSolver::new(MetricsRegistry::disabled()).solve_zone(zone)?;
+    let mosp = MospLadder::new(
         config,
         wavemin_mosp::Budget::unlimited(),
         MetricsRegistry::disabled(),
     )
-    .solve_zone(table, zone, interval, &zero)?;
+    .solve_zone(zone)?;
     Ok((greedy.cost, mosp.cost))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algo::PreparedRun;
     use crate::intervals::IntervalSet;
+    use crate::noise_table::BackgroundAccumulator;
     use crate::prelude::*;
 
     fn small_design() -> Design {
@@ -210,11 +204,20 @@ mod tests {
         let cfg = WaveMinConfig::default().with_sample_count(16);
         let table = NoiseTable::build(&d, &cfg, 0).unwrap();
         let intervals = IntervalSet::generate(&table, cfg.skew_bound, Some(4));
-        let zones = ZoneProblem::build_all(&d, &cfg, &table);
+        let registry = MetricsRegistry::disabled();
+        let prep = PreparedRun::partition(&d, &cfg, vec![table], false, &registry).unwrap();
         let mut compared = 0;
-        for interval in intervals.intervals() {
-            for zone in &zones {
-                if let Ok((g, m)) = greedy_vs_mosp_zone_cost(&cfg, &table, zone, interval) {
+        for interval in intervals.into_intervals() {
+            let window = interval.into();
+            for zi in 0..prep.zones[0].len() {
+                let zone = prep.zones[0].acquire(zi, &prep.tables[0], &registry);
+                let input = ZoneInput {
+                    tables: &prep.tables,
+                    zones: &[zone],
+                    window: &window,
+                    accumulated: &[BackgroundAccumulator::zero()],
+                };
+                if let Ok((g, m)) = greedy_vs_mosp_zone_cost(&cfg, &input) {
                     // The Warburton grid rounds within epsilon: allow that
                     // much slack in the comparison.
                     assert!(

@@ -8,13 +8,12 @@
 //! two-way balance: solved exactly here by dynamic programming over
 //! reachable buffer-sum values (the paper's Knapsack formulation).
 
-use crate::algo::{run_interval_framework, Outcome, ZoneProblem, ZoneSolution, ZoneSolver};
+use crate::algo::{optimize_single_mode, Outcome, ZoneInput, ZoneSolution, ZoneSolver};
 use crate::config::WaveMinConfig;
 use crate::design::Design;
 use crate::error::WaveMinError;
-use crate::intervals::FeasibleInterval;
-use crate::noise_table::NoiseTable;
-use crate::observe::{MetricsRegistry, ReportContext, ZoneSolveRecord};
+use crate::observe::{MetricsRegistry, ProgressTracker, ZoneSolveRecord};
+use crate::trace::TraceJournal;
 use std::collections::HashMap;
 use wavemin_cells::units::Picoseconds;
 use wavemin_cells::Polarity;
@@ -55,15 +54,14 @@ impl ClkPeakMin {
         let solver = BalanceZoneSolver {
             registry: registry.clone(),
         };
-        let mut out = run_interval_framework(design, &self.config, &solver, &registry)?;
-        out.report = registry.report(&ReportContext {
-            threads: self.config.effective_threads(),
-            degenerate_zones: out.degenerate_zones,
-            ladder_rung: 0,
-            budget_units: 0,
-            kernel: wavemin_mosp::kernels::active().name(),
-        });
-        Ok(out)
+        optimize_single_mode(
+            design,
+            &self.config,
+            &solver,
+            &registry,
+            &TraceJournal::disabled(),
+            &ProgressTracker::disabled(),
+        )
     }
 }
 
@@ -76,28 +74,25 @@ struct BalanceZoneSolver {
 const RESOLUTION: f64 = 0.5;
 
 impl ZoneSolver for BalanceZoneSolver {
-    fn solve_zone(
-        &self,
-        table: &NoiseTable,
-        zone: &ZoneProblem,
-        interval: &FeasibleInterval,
-        _extra: &crate::noise_table::BackgroundAccumulator,
-    ) -> Result<ZoneSolution, WaveMinError> {
+    /// Balances mode 0 (PeakMin is a single-mode baseline).
+    fn solve_zone(&self, zone: &ZoneInput<'_>) -> Result<ZoneSolution, WaveMinError> {
         // PeakMin is deliberately oblivious to other zones and to the
         // non-leaf background — that is the limitation WaveMin fixes.
         let started = self.registry.is_enabled().then(std::time::Instant::now);
         let mut work = 0_u64;
-        let rows = zone.sinks.len();
-        let allowed = interval.allowed_for(&zone.sinks);
+        let table = &zone.tables[0];
+        let (t_lo, t_hi) = zone.window.windows[0];
+        let allowed = zone.allowed();
+        let rows = allowed.len();
         // Candidate tuples: (option, code, polarity, standalone peak).
         let mut candidates: Vec<Vec<(usize, Picoseconds, Polarity, f64)>> =
             Vec::with_capacity(rows);
         for (local, opts) in allowed.iter().enumerate() {
             let mut row = Vec::new();
             for &opt in opts.iter() {
-                let si = zone.sinks[local];
+                let si = zone.sinks()[local];
                 let o = &table.sinks[si].options[opt];
-                if let Some(code) = o.delay_code_for(interval.t_lo, interval.t_hi) {
+                if let Some(code) = o.delay_code_for(t_lo, t_hi) {
                     row.push((opt, code, o.kind.polarity(), o.waves.peak().value()));
                 }
             }
@@ -150,7 +145,7 @@ impl ZoneSolver for BalanceZoneSolver {
             .collect();
         if let Some(started) = started {
             self.registry.record_zone_solve(
-                zone.id,
+                zone.id(),
                 &ZoneSolveRecord {
                     stats: SolveStats {
                         labels_created: rows as u64,
@@ -226,24 +221,29 @@ mod tests {
     fn balance_dp_splits_even_instance() {
         // Four identical sinks with a buffer (peak 10 on +) and inverter
         // (peak 10 on −) option: optimum is a 2/2 split with cost 20.
+        use crate::algo::PreparedRun;
         use crate::intervals::IntervalSet;
+        use crate::noise_table::BackgroundAccumulator;
         let d = small_design();
         let cfg = WaveMinConfig::default();
         let table = NoiseTable::build(&d, &cfg, 0).unwrap();
         let intervals = IntervalSet::generate(&table, cfg.skew_bound, Some(1));
-        let zones = ZoneProblem::build_all(&d, &cfg, &table);
+        let registry = MetricsRegistry::disabled();
+        let prep = PreparedRun::partition(&d, &cfg, vec![table], false, &registry).unwrap();
+        let table = &prep.tables[0];
         let solver = BalanceZoneSolver {
-            registry: MetricsRegistry::disabled(),
+            registry: registry.clone(),
         };
-        let interval = &intervals.intervals()[0];
-        for zone in &zones {
+        let window = intervals.intervals()[0].clone().into();
+        for zi in 0..prep.zones[0].len() {
+            let zone = prep.zones[0].acquire(zi, table, &registry);
             let sol = solver
-                .solve_zone(
-                    &table,
-                    zone,
-                    interval,
-                    &crate::noise_table::BackgroundAccumulator::zero(),
-                )
+                .solve_zone(&ZoneInput {
+                    tables: &prep.tables,
+                    zones: std::slice::from_ref(&zone),
+                    window: &window,
+                    accumulated: &[BackgroundAccumulator::zero()],
+                })
                 .unwrap();
             // The zone cost can never exceed assigning everything to one
             // polarity.

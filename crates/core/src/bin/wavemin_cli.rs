@@ -708,6 +708,13 @@ fn optimize(flags: &Flags) -> Result<(), CliError> {
             )));
         }
         if let Some(d) = &outcome.degradation {
+            if let Some(fallback) = d
+                .steps
+                .iter()
+                .find(|s| matches!(s, DegradationStep::IdentityFallback { .. }))
+            {
+                return Err(CliError::degraded(format!("--strict: {fallback}")));
+            }
             return Err(CliError::degraded(format!(
                 "--strict: the run relaxed {} of {} zone solves to stay within budget",
                 d.exhausted_solves, d.total_solves

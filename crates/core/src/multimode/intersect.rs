@@ -4,7 +4,7 @@
 use crate::config::WaveMinConfig;
 use crate::design::Design;
 use crate::error::WaveMinError;
-use crate::intervals::IntervalSet;
+use crate::intervals::{FeasibleInterval, IntervalSet};
 use crate::noise_table::NoiseTable;
 use serde::{Deserialize, Serialize};
 use wavemin_cells::units::Picoseconds;
@@ -17,6 +17,16 @@ pub struct FeasibleIntersection {
     pub windows: Vec<(Picoseconds, Picoseconds)>,
     /// `allowed[sink][..]` — option indices feasible in every mode.
     pub allowed: Vec<Vec<usize>>,
+}
+
+/// A single-mode interval is the one-mode intersection.
+impl From<FeasibleInterval> for FeasibleIntersection {
+    fn from(interval: FeasibleInterval) -> Self {
+        Self {
+            windows: vec![(interval.t_lo, interval.t_hi)],
+            allowed: interval.allowed,
+        }
+    }
 }
 
 impl FeasibleIntersection {
@@ -70,12 +80,9 @@ impl IntersectionSet {
             }
             if mode == 0 {
                 partial = set
-                    .intervals()
-                    .iter()
-                    .map(|iv| FeasibleIntersection {
-                        windows: vec![(iv.t_lo, iv.t_hi)],
-                        allowed: iv.allowed.clone(),
-                    })
+                    .into_intervals()
+                    .into_iter()
+                    .map(FeasibleIntersection::from)
                     .collect();
             } else {
                 let mut next = Vec::new();
@@ -121,6 +128,12 @@ impl IntersectionSet {
     #[must_use]
     pub fn intersections(&self) -> &[FeasibleIntersection] {
         &self.intersections
+    }
+
+    /// The intersections by value, best degree of freedom first.
+    #[must_use]
+    pub fn into_intersections(self) -> Vec<FeasibleIntersection> {
+        self.intersections
     }
 
     /// Number of feasible intersections kept.

@@ -82,15 +82,22 @@ pub fn degradation_summary(degradation: Option<&Degradation>) -> String {
                 .iter()
                 .filter(|s| matches!(s, DegradationStep::ZoneFaultContained { .. }))
                 .count();
-            // A fault-only record has nothing budget-related to report;
-            // don't open with a confusing "0/0 solves exhausted" line.
-            let mut out = if d.exhausted_solves > 0 || faults == 0 {
+            let fallback = d
+                .steps
+                .iter()
+                .any(|s| matches!(s, DegradationStep::IdentityFallback { .. }));
+            // A fault- or fallback-only record has nothing budget-related
+            // to report; don't open with a confusing "0/N solves
+            // exhausted" line.
+            let mut out = if d.exhausted_solves > 0 || (faults == 0 && !fallback) {
                 format!(
                     "degraded: {}/{} zone solves exhausted their budget\n",
                     d.exhausted_solves, d.total_solves
                 )
-            } else {
+            } else if faults > 0 {
                 "degraded: stayed within budget, but zone workers faulted\n".to_owned()
+            } else {
+                "degraded: stayed within budget, but the design was returned unchanged\n".to_owned()
             };
             if faults > 0 {
                 out.push_str(&format!(
@@ -180,6 +187,25 @@ mod tests {
         assert!(
             !s.contains("zone 7"),
             "contained faults are aggregated, not itemized: {s}"
+        );
+    }
+
+    #[test]
+    fn degradation_summary_names_the_identity_fallback() {
+        let d = Degradation {
+            steps: vec![DegradationStep::IdentityFallback {
+                candidates: 3,
+                best_skew: wavemin_cells::units::Picoseconds::new(26.9),
+            }],
+            exhausted_solves: 0,
+            total_solves: 12,
+        };
+        let s = degradation_summary(Some(&d));
+        assert!(s.contains("returned unchanged"), "{s}");
+        assert!(!s.contains("0/12"), "{s}");
+        assert!(
+            s.contains("identity fallback: all 3 ranked candidate(s)"),
+            "{s}"
         );
     }
 }

@@ -13,13 +13,13 @@
 //! changed, splicing everything else bit-for-bit. The `zones_reused`
 //! counter in the run report surfaces how much was spliced.
 
-use crate::algo::clkwavemin::{worst_mode_attribution, MospZoneSolver};
-use crate::algo::{characterize_design, solve_prepared, Outcome, PreparedRun};
+use crate::algo::clkwavemin::MospLadder;
+use crate::algo::{characterize_design, finish_run, solve_prepared, Outcome, PreparedRun};
 use crate::checkpoint::{config_fingerprint, ZoneCache, ZoneStore};
 use crate::config::WaveMinConfig;
 use crate::design::Design;
 use crate::error::WaveMinError;
-use crate::observe::{MetricsRegistry, ReportContext};
+use crate::observe::MetricsRegistry;
 use crate::trace::TraceJournal;
 use wavemin_clocktree::NodeId;
 
@@ -100,19 +100,19 @@ impl CharacterizedDesign {
     /// Number of zones in the partition.
     #[must_use]
     pub fn zone_count(&self) -> usize {
-        self.prep.zones.len()
+        self.prep.zones[0].len()
     }
 
     /// Number of feasible intervals held resident.
     #[must_use]
     pub fn interval_count(&self) -> usize {
-        self.prep.intervals.len()
+        self.prep.windows.len()
     }
 
     /// Number of characterized sinks.
     #[must_use]
     pub fn sink_count(&self) -> usize {
-        self.prep.table.sinks.len()
+        self.prep.tables[0].sinks.len()
     }
 
     /// A sink in the zone solved *last* (the smallest zone in the
@@ -126,8 +126,8 @@ impl CharacterizedDesign {
             .zone_order
             .iter()
             .rev()
-            .find_map(|&z| self.prep.zones.spec(z).sinks.first())
-            .map(|&si| self.prep.table.sinks[si].node)
+            .find_map(|&z| self.prep.zones[0].spec(z).sinks.first())
+            .map(|&si| self.prep.tables[0].sinks[si].node)
     }
 
     /// Solves the session's resident problem with no shared cache.
@@ -197,12 +197,10 @@ impl CharacterizedDesign {
     ) -> Result<Outcome, WaveMinError> {
         let config = self.job_config(opts);
         let registry = MetricsRegistry::from_config(&config);
-        registry.ensure_zones(self.prep.zones.len());
-        let budget = config.budget();
-        let solver = MospZoneSolver::new(&config, budget.clone(), registry.clone())
+        registry.ensure_zones(self.prep.zones[0].len());
+        let solver = MospLadder::new(&config, config.budget(), registry.clone())
             .with_journal(journal.clone())
             .with_progress(opts.progress.clone());
-        let store = cache.map(|c| c as &dyn ZoneStore);
         // The chain seed hashes the job's semantic config (plumbing
         // normalized out), so jobs on different budgets or bounds key
         // into disjoint regions of the shared cache while identical jobs
@@ -210,10 +208,10 @@ impl CharacterizedDesign {
         // scheme: the degradation ladder's rung at solve time is not a
         // key input, so a budgeted job that degraded mid-run publishes
         // rung-dependent results under its budget's keys.
-        let seed = store
-            .is_some()
-            .then(|| config_fingerprint(&config))
-            .transpose()?;
+        let store = match cache {
+            Some(cache) => Some((cache as &dyn ZoneStore, config_fingerprint(&config)?)),
+            None => None,
+        };
         let mut out = solve_prepared(
             &self.design,
             &config,
@@ -222,23 +220,9 @@ impl CharacterizedDesign {
             &registry,
             journal,
             store,
-            seed,
             &opts.progress,
         )?;
-        out.degradation = solver.ladder.degradation();
-        out.report = registry.report(&ReportContext {
-            threads: config.effective_threads(),
-            degenerate_zones: out.degenerate_zones,
-            ladder_rung: solver.ladder.current_rung(),
-            budget_units: budget.work_done(),
-            kernel: wavemin_mosp::kernels::active().name(),
-        });
-        if out.report.is_some() {
-            let attribution = worst_mode_attribution(&self.design, &out)?;
-            if let Some(report) = out.report.as_mut() {
-                report.attribution = attribution;
-            }
-        }
+        finish_run(Some(&self.design), &config, &registry, &solver, &mut out)?;
         Ok(out)
     }
 }

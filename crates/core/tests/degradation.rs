@@ -105,3 +105,39 @@ fn validate_rejects_broken_design_before_solving() {
         .expect_err("NaN sink cap must be rejected");
     assert!(err.to_string().contains("sink cap"), "{err}");
 }
+
+#[test]
+fn rejected_candidates_report_the_identity_fallback() {
+    // Mixing X1 and X32 cells makes sibling-load feedback (which the
+    // assignment model ignores, Observation 4) large, and a full-width
+    // window leaves no headroom for it: every ranked candidate then fails
+    // exact skew validation.
+    let d = Design::from_benchmark(&Benchmark::s15850(), 2);
+    let kappa = wavemin_cells::units::Picoseconds::new(5.0);
+    let mut cfg = WaveMinConfig::default().with_skew_bound(kappa);
+    cfg.window_margin = 1.0;
+    cfg.assignment_cells = ["BUF_X1", "INV_X1", "BUF_X32", "INV_X32"]
+        .map(String::from)
+        .to_vec();
+    let out = ClkWaveMin::new(cfg)
+        .run(&d)
+        .expect("identity is still a result");
+
+    assert!(
+        out.assignment.is_empty(),
+        "the design must come back unchanged"
+    );
+    assert_eq!(out.peak_after.value(), out.peak_before.value());
+    let degradation = out.degradation.expect("the fallback must be reported");
+    assert!(degradation.total_solves > 0);
+    match degradation.steps.as_slice() {
+        [DegradationStep::IdentityFallback {
+            candidates,
+            best_skew,
+        }] => {
+            assert!(*candidates > 0);
+            assert!(best_skew.value() > kappa.value(), "best skew {best_skew}");
+        }
+        other => panic!("expected one identity-fallback step, got {other:?}"),
+    }
+}

@@ -1,11 +1,12 @@
-//! Criterion bench: the numeric kernel primitives in isolation, vectorized
-//! vs scalar-reference, at the dimensionalities the solver actually runs
-//! (|S| = 4·k sampled waveform points; 156 matches the paper's ≈158-point
-//! waveforms, 8/32 cover small zones) — plus the slab dominance scan that
-//! `ParetoFront` batch-checks candidates against.
+//! Criterion bench: the numeric kernel primitives in isolation, production
+//! bodies (`kernels::*`) vs the scalar reference (`kernels::scalar::*`),
+//! at the dimensionalities the solver actually runs (|S| = 4·k sampled
+//! waveform points; 156 matches the paper's ≈158-point waveforms, 8/32
+//! cover small zones) — plus the slab dominance scan that `ParetoFront`
+//! batch-checks candidates against.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use wavemin_mosp::kernels::{scalar, vector};
+use wavemin_mosp::kernels::{self, scalar};
 
 /// Deterministic pseudo-random operands (no RNG dependency needed — a
 /// fixed linear-congruential walk is plenty for timing).
@@ -27,8 +28,8 @@ fn bench_add(c: &mut Criterion) {
         let a = operand(dims, 1);
         let b = operand(dims, 2);
         let mut out = vec![0.0; dims];
-        group.bench_with_input(BenchmarkId::new("vector", dims), &dims, |bch, _| {
-            bch.iter(|| vector::add_into(&mut out, std::hint::black_box(&a), &b));
+        group.bench_with_input(BenchmarkId::new("kernels", dims), &dims, |bch, _| {
+            bch.iter(|| kernels::add_into(&mut out, std::hint::black_box(&a), &b));
         });
         group.bench_with_input(BenchmarkId::new("scalar", dims), &dims, |bch, _| {
             bch.iter(|| scalar::add_into(&mut out, std::hint::black_box(&a), &b));
@@ -42,8 +43,8 @@ fn bench_add_max(c: &mut Criterion) {
     for dims in [8usize, 32, 156] {
         let a = operand(dims, 3);
         let b = operand(dims, 4);
-        group.bench_with_input(BenchmarkId::new("vector", dims), &dims, |bch, _| {
-            bch.iter(|| vector::add_max(std::hint::black_box(&a), &b));
+        group.bench_with_input(BenchmarkId::new("kernels", dims), &dims, |bch, _| {
+            bch.iter(|| kernels::add_max(std::hint::black_box(&a), &b));
         });
         group.bench_with_input(BenchmarkId::new("scalar", dims), &dims, |bch, _| {
             bch.iter(|| scalar::add_max(std::hint::black_box(&a), &b));
@@ -56,8 +57,8 @@ fn bench_max_component(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel_max_component");
     for dims in [8usize, 32, 156] {
         let a = operand(dims, 5);
-        group.bench_with_input(BenchmarkId::new("vector", dims), &dims, |bch, _| {
-            bch.iter(|| vector::max_component(std::hint::black_box(&a)));
+        group.bench_with_input(BenchmarkId::new("kernels", dims), &dims, |bch, _| {
+            bch.iter(|| kernels::max_component(std::hint::black_box(&a)));
         });
         group.bench_with_input(BenchmarkId::new("scalar", dims), &dims, |bch, _| {
             bch.iter(|| scalar::max_component(std::hint::black_box(&a)));
@@ -73,12 +74,35 @@ fn bench_dominates(c: &mut Criterion) {
         // the worst case; incomparable pairs early-exit per chunk.
         let a = operand(dims, 6);
         let b: Vec<f64> = a.iter().map(|x| x + 1.0).collect();
-        group.bench_with_input(BenchmarkId::new("vector", dims), &dims, |bch, _| {
-            bch.iter(|| vector::dominates(std::hint::black_box(&a), &b));
+        group.bench_with_input(BenchmarkId::new("kernels", dims), &dims, |bch, _| {
+            bch.iter(|| kernels::dominates(std::hint::black_box(&a), &b));
         });
         group.bench_with_input(BenchmarkId::new("scalar", dims), &dims, |bch, _| {
             bch.iter(|| scalar::dominates(std::hint::black_box(&a), &b));
         });
+    }
+    group.finish();
+}
+
+fn bench_scaled_leq(c: &mut Criterion) {
+    // Warburton's ε-grid weak dominance, the per-attempt test of the
+    // ε-approximate solve. A comparable pair (a <= b everywhere) scans the
+    // whole row; the early-reject pair fails on its first component.
+    let mut group = c.benchmark_group("kernel_scaled_leq");
+    for dims in [8usize, 32, 156] {
+        let a: Vec<i64> = operand(dims, 8).iter().map(|x| (x * 1e4) as i64).collect();
+        let comparable: Vec<i64> = a.iter().map(|x| x + 1).collect();
+        let mut reject = comparable.clone();
+        reject[0] = a[0] - 1;
+        for (case, b) in [("full", &comparable), ("reject", &reject)] {
+            let id = format!("{case}/{dims}");
+            group.bench_with_input(BenchmarkId::new("kernels", &id), &dims, |bch, _| {
+                bch.iter(|| kernels::scaled_leq(std::hint::black_box(&a), b));
+            });
+            group.bench_with_input(BenchmarkId::new("scalar", &id), &dims, |bch, _| {
+                bch.iter(|| scalar::scaled_leq(std::hint::black_box(&a), b));
+            });
+        }
     }
     group.finish();
 }
@@ -94,9 +118,9 @@ fn bench_slab_scan(c: &mut Criterion) {
             .flat_map(|r| operand(dims, 7 + r as u64))
             .collect();
         let cand: Vec<f64> = operand(dims, 99).iter().map(|x| x - 200.0).collect();
-        group.bench_with_input(BenchmarkId::new("vector", rows), &rows, |bch, _| {
+        group.bench_with_input(BenchmarkId::new("kernels", rows), &rows, |bch, _| {
             bch.iter(|| {
-                vector::dominated_weakly_by_any(std::hint::black_box(&slab), dims, rows, &cand)
+                kernels::dominated_weakly_by_any(std::hint::black_box(&slab), dims, rows, &cand)
             });
         });
         group.bench_with_input(BenchmarkId::new("scalar", rows), &rows, |bch, _| {
@@ -114,6 +138,7 @@ criterion_group!(
     bench_add_max,
     bench_max_component,
     bench_dominates,
+    bench_scaled_leq,
     bench_slab_scan
 );
 criterion_main!(benches);

@@ -1151,7 +1151,6 @@ pub(crate) fn finish_run<S: ZoneSolver>(
         degenerate_zones: out.degenerate_zones,
         ladder_rung: ladder.map_or(0, MospLadder::current_rung),
         budget_units: ladder.map_or(0, MospLadder::work_done),
-        kernel: wavemin_mosp::kernels::active().name(),
     });
     if let (Some(design), true) = (design, out.report.is_some()) {
         let attribution = worst_mode_attribution(design, out)?;

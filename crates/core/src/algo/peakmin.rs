@@ -14,7 +14,7 @@ use crate::design::Design;
 use crate::error::WaveMinError;
 use crate::observe::{MetricsRegistry, ProgressTracker, ZoneSolveRecord};
 use crate::trace::TraceJournal;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use wavemin_cells::units::Picoseconds;
 use wavemin_cells::Polarity;
 use wavemin_mosp::SolveStats;
@@ -103,11 +103,13 @@ impl ZoneSolver for BalanceZoneSolver {
         }
 
         // DP over sinks: buffer-sum (quantized) -> (min inverter-sum,
-        // backtrace). Positive polarity adds to the buffer sum.
-        type State = HashMap<i64, (f64, Vec<usize>)>;
-        let mut state: State = HashMap::from([(0, (0.0, Vec::new()))]);
+        // backtrace). Positive polarity adds to the buffer sum. Ordered
+        // keys make the `ni < entry.0` tie and the final `min_by` pick the
+        // same state on every run.
+        type State = BTreeMap<i64, (f64, Vec<usize>)>;
+        let mut state: State = BTreeMap::from([(0, (0.0, Vec::new()))]);
         for row in &candidates {
-            let mut next: State = HashMap::new();
+            let mut next: State = BTreeMap::new();
             for (&bufq, (invsum, trace)) in &state {
                 for (ci, &(_, _, pol, peak)) in row.iter().enumerate() {
                     work += 1;
@@ -215,6 +217,25 @@ mod tests {
             wave.peak_after,
             peak.peak_after
         );
+    }
+
+    #[test]
+    fn repeated_runs_are_identical() {
+        // The balance DP ties on equal inverter sums and equal zone costs
+        // on these circuits; both ties must resolve the same way each run.
+        for bench in [Benchmark::s35932(), Benchmark::s38584()] {
+            let d = Design::from_benchmark(&bench, 3);
+            let algo = ClkPeakMin::new(WaveMinConfig::default());
+            let first = algo.run(&d).unwrap();
+            let second = algo.run(&d).unwrap();
+            assert_eq!(first.assignment, second.assignment, "{}", bench.name);
+            assert_eq!(
+                first.peak_after.value().to_bits(),
+                second.peak_after.value().to_bits(),
+                "{}",
+                bench.name
+            );
+        }
     }
 
     #[test]

@@ -660,12 +660,20 @@ fn optimize(flags: &Flags) -> Result<(), CliError> {
     let outcome = match (algorithm, shard_sinks) {
         ("wavemin", Some(max_sinks)) => {
             wavemin::shardrun::optimize_sharded(&design, &config, max_sinks).map(|sharded| {
+                // The steps do not say whether the merge or every shard
+                // fell back, only that nothing was kept.
+                let unchanged = sharded.outcome.assignment.is_empty()
+                    && sharded.outcome.degradation.as_ref().is_some_and(|d| {
+                        d.steps
+                            .iter()
+                            .any(|s| matches!(s, DegradationStep::IdentityFallback { .. }))
+                    });
                 eprintln!(
                     "sharded: {} shard(s), sinks per shard {}{}",
                     sharded.shard_count,
                     summarize_shard_sinks(&sharded.shard_sinks),
-                    if sharded.merge_fallback {
-                        " — merged assignment violated the global bound; identity fallback"
+                    if unchanged {
+                        " — identity fallback; the design was returned unchanged"
                     } else {
                         ""
                     }

@@ -616,7 +616,6 @@ impl MetricsRegistry {
         Some(RunReport {
             schema_version: RunReport::SCHEMA_VERSION,
             threads: ctx.threads,
-            kernel: ctx.kernel.to_owned(),
             counters: RunCounters {
                 labels_created: load(&c.labels_created),
                 labels_pruned: load(&c.labels_pruned),
@@ -890,9 +889,6 @@ pub struct ReportContext {
     /// run was unbudgeted — the budget's fast path skips its atomic; see
     /// [`RunCounters::solver_work`] for the unconditional count).
     pub budget_units: u64,
-    /// Name of the numeric kernel family the run dispatched to
-    /// ([`wavemin_mosp::kernels::active`]`().name()`; empty when unknown).
-    pub kernel: &'static str,
 }
 
 /// One stage's aggregated span timing.
@@ -1309,12 +1305,6 @@ pub struct RunReport {
     pub schema_version: u32,
     /// Worker threads the run used.
     pub threads: usize,
-    /// Numeric kernel family the run dispatched to ("vector"/"scalar";
-    /// empty in reports written before the field existed). Stripped by
-    /// [`RunReport::normalized`] — both families are bit-identical, so
-    /// normalized reports must compare equal across them.
-    #[serde(default)]
-    pub kernel: String,
     /// Run-wide counter aggregates.
     pub counters: RunCounters,
     /// Per-stage span timings (stages with zero spans are omitted).
@@ -1482,15 +1472,14 @@ impl RunReport {
         Ok(())
     }
 
-    /// A copy with every run-environment field zeroed (`threads`, the
-    /// `kernel` name, stage `total_ns`, zone `wall_ns`): two unbudgeted
-    /// runs of the same problem must produce equal normalized reports
-    /// regardless of worker count or kernel family.
+    /// A copy with every run-environment field zeroed (`threads`, stage
+    /// `total_ns`, zone `wall_ns`): two unbudgeted runs of the same
+    /// problem must produce equal normalized reports regardless of worker
+    /// count.
     #[must_use]
     pub fn normalized(&self) -> Self {
         let mut out = self.clone();
         out.threads = 0;
-        out.kernel = String::new();
         // Streaming-archive traffic and the RSS gauge depend on worker
         // interleaving and the process environment, not on the problem:
         // a streaming and a materialized run of the same instance must
@@ -1578,15 +1567,6 @@ mod decode {
         }
     }
 
-    /// Like [`str_field`] but defaults to "" when the field is absent.
-    fn opt_str_field(entries: &[(String, Value)], key: &str) -> Result<String, String> {
-        if entries.iter().any(|(k, _)| k == key) {
-            str_field(entries, key)
-        } else {
-            Ok(String::new())
-        }
-    }
-
     fn usize_field(entries: &[(String, Value)], key: &str) -> Result<usize, String> {
         usize::try_from(u64_field(entries, key)?)
             .map_err(|_| format!("field '{key}': value does not fit usize"))
@@ -1621,6 +1601,8 @@ mod decode {
             &[
                 "schema_version",
                 "threads",
+                // Written by older builds (the kernel family's name);
+                // accepted and ignored so their reports still decode.
                 "kernel",
                 "counters",
                 "stages",
@@ -1638,7 +1620,6 @@ mod decode {
         Ok(RunReport {
             schema_version,
             threads: usize_field(entries, "threads")?,
-            kernel: opt_str_field(entries, "kernel")?,
             counters: counters(get(entries, "counters")?)?,
             stages: seq_field(entries, "stages")?
                 .iter()
@@ -1968,7 +1949,6 @@ mod tests {
                 degenerate_zones: 1,
                 ladder_rung: 2,
                 budget_units: 99,
-                kernel: "vector",
             })
             .expect("enabled");
         let json = serde_json::to_string(&report).expect("serialize");
@@ -1978,25 +1958,17 @@ mod tests {
         assert_eq!(back.ladder_rung, 2);
         assert_eq!(back.counters.rung_transitions, 1);
         assert_eq!(back.counters.budget_units, 99);
-        assert_eq!(back.kernel, "vector");
-        assert_eq!(back.normalized().kernel, "", "normalization strips kernel");
     }
 
     #[test]
     fn decode_defaults_fields_older_reports_lack() {
-        // A report serialized before the kernel/dominance fields existed
+        // A report serialized before the dominance/fault fields existed
         // must still decode, with those fields defaulted.
         let r = MetricsRegistry::enabled(false);
         r.record_zone_solve(0, &sample_record(4));
-        let report = r
-            .report(&ReportContext {
-                kernel: "vector",
-                ..ReportContext::default()
-            })
-            .expect("enabled");
+        let report = r.report(&ReportContext::default()).expect("enabled");
         let json = serde_json::to_string(&report).expect("serialize");
         let legacy = json
-            .replace("\"kernel\":\"vector\",", "")
             .replace(",\"dominance_checks\":16,\"dominance_skipped\":4", "")
             .replace(
                 ",\"zone_faults\":0,\"zone_salvages\":0,\"zones_reused\":0",
@@ -2004,12 +1976,19 @@ mod tests {
             );
         assert_ne!(legacy, json, "fixture must actually strip the fields");
         let back = RunReport::from_json(&legacy).expect("legacy decodes");
-        assert_eq!(back.kernel, "");
         assert_eq!(back.counters.dominance_checks, 0);
         assert_eq!(back.counters.dominance_skipped, 0);
         assert_eq!(back.counters.zone_faults, 0);
         assert_eq!(back.counters.zones_reused, 0);
         back.validate().expect("defaults stay self-consistent");
+
+        // Older builds also stamped the kernel family's name; such a
+        // report decodes to the same value, the name ignored.
+        let stamped = json.replacen("\"threads\":0,", "\"threads\":0,\"kernel\":\"scalar\",", 1);
+        assert_ne!(stamped, json, "fixture must actually add the field");
+        let back = RunReport::from_json(&stamped).expect("kernel-stamped report decodes");
+        assert_eq!(back, report);
+        back.validate().expect("kernel-stamped report validates");
     }
 
     #[test]

@@ -15,11 +15,15 @@
 //! only checked — not enforced — during the per-shard solves. The
 //! merged assignment is re-validated against the exact global skew
 //! bound; when it violates the bound the driver falls back to the
-//! identity assignment, mirroring the interval framework's own
-//! validation ladder. In practice equalized trees anchor every shard
-//! on near-identical arrival sets and the merge passes.
+//! identity assignment and records a final
+//! [`DegradationStep::IdentityFallback`], mirroring the interval
+//! framework's own validation ladder. Every shard's own degradation
+//! steps are carried into the merged outcome in shard order (zone ids in
+//! them are shard-local), so a sharded run reports what it relaxed like
+//! an unsharded one. In practice equalized trees anchor every shard on
+//! near-identical arrival sets and the merge passes.
 
-use crate::algo::{count_kind, finish_outcome, ClkWaveMin, Outcome};
+use crate::algo::{count_kind, finish_outcome, ClkWaveMin, Degradation, DegradationStep, Outcome};
 use crate::assignment::Assignment;
 use crate::config::WaveMinConfig;
 use crate::design::Design;
@@ -38,9 +42,6 @@ pub struct ShardedOutcome {
     pub shard_count: usize,
     /// Sinks per shard, in shard order.
     pub shard_sinks: Vec<usize>,
-    /// `true` when the merged assignment violated the exact global skew
-    /// bound and the identity fallback was returned instead.
-    pub merge_fallback: bool,
 }
 
 /// Optimizes a design shard-by-shard: at most `max_sinks_per_shard`
@@ -66,6 +67,7 @@ pub fn optimize_sharded(
     let mut intervals_tried = 0;
     let mut runtime = std::time::Duration::ZERO;
     let mut degenerate_zones = 0;
+    let mut degradation = None;
     let solver = ClkWaveMin::new(config.clone());
     for shard in &shards {
         shard_sinks.push(shard.tree.leaves().len());
@@ -74,6 +76,9 @@ pub fn optimize_sharded(
         intervals_tried += out.intervals_tried;
         runtime += out.runtime;
         degenerate_zones += out.degenerate_zones;
+        if let Some(d) = out.degradation {
+            merge_degradation(&mut degradation, d);
+        }
         // A shard that fell back to identity reports a NaN cost; the
         // merged cost only aggregates real zone objectives.
         if out.estimated_cost.is_finite() {
@@ -94,8 +99,18 @@ pub fn optimize_sharded(
     let mut candidate = design.clone();
     merged.apply_to(&mut candidate);
     let skew = candidate.max_skew()?;
-    let merge_fallback = skew.value() > config.skew_bound.value() + 1e-9;
-    let mut outcome = if merge_fallback {
+    let mut outcome = if skew.value() > config.skew_bound.value() + 1e-9 {
+        merge_degradation(
+            &mut degradation,
+            Degradation {
+                steps: vec![DegradationStep::IdentityFallback {
+                    candidates: 1,
+                    best_skew: skew,
+                }],
+                exhausted_solves: 0,
+                total_solves: 0,
+            },
+        );
         finish_outcome(
             design,
             design,
@@ -115,12 +130,24 @@ pub fn optimize_sharded(
         )?
     };
     outcome.degenerate_zones = degenerate_zones;
+    outcome.degradation = degradation;
     Ok(ShardedOutcome {
         outcome,
         shard_count,
         shard_sinks,
-        merge_fallback,
     })
+}
+
+/// Appends `d`'s steps and solve counts to the run's record.
+fn merge_degradation(into: &mut Option<Degradation>, d: Degradation) {
+    match into {
+        None => *into = Some(d),
+        Some(acc) => {
+            acc.steps.extend(d.steps);
+            acc.exhausted_solves += d.exhausted_solves;
+            acc.total_solves += d.total_solves;
+        }
+    }
 }
 
 /// Wraps one shard's tree with the parent design's models. Per-mode
@@ -189,20 +216,28 @@ mod tests {
     #[test]
     fn one_big_shard_matches_plain_run_bit_for_bit() {
         let design = scale_design();
-        let config = WaveMinConfig::default();
-        let plain = ClkWaveMin::new(config.clone()).run(&design).expect("plain");
-        let sharded = optimize_sharded(&design, &config, usize::MAX).expect("sharded");
-        assert_eq!(sharded.shard_count, 1);
-        assert!(!sharded.merge_fallback);
-        assert_eq!(sharded.outcome.assignment, plain.assignment);
-        assert_eq!(
-            sharded.outcome.estimated_cost.to_bits(),
-            plain.estimated_cost.to_bits()
-        );
-        assert_eq!(
-            sharded.outcome.skew_after.value().to_bits(),
-            plain.skew_after.value().to_bits()
-        );
+        // The fault plan makes the shard's run degrade; its steps must
+        // reach the merged outcome unchanged (one thread keeps their
+        // order fixed).
+        for fault_plan in [None, Some(crate::fault::FaultPlan { seed: 3, rate: 0.1 })] {
+            let config = WaveMinConfig::default()
+                .with_threads(1)
+                .with_fault_plan(fault_plan);
+            let plain = ClkWaveMin::new(config.clone()).run(&design).expect("plain");
+            let sharded = optimize_sharded(&design, &config, usize::MAX).expect("sharded");
+            assert_eq!(sharded.shard_count, 1);
+            assert_eq!(plain.degradation.is_some(), fault_plan.is_some());
+            assert_eq!(sharded.outcome.degradation, plain.degradation);
+            assert_eq!(sharded.outcome.assignment, plain.assignment);
+            assert_eq!(
+                sharded.outcome.estimated_cost.to_bits(),
+                plain.estimated_cost.to_bits()
+            );
+            assert_eq!(
+                sharded.outcome.skew_after.value().to_bits(),
+                plain.skew_after.value().to_bits()
+            );
+        }
     }
 
     #[test]
@@ -216,7 +251,15 @@ mod tests {
             design.leaves().len(),
             "shards must cover every sink exactly once"
         );
-        if sharded.merge_fallback {
+        let merge_fallback = matches!(
+            sharded
+                .outcome
+                .degradation
+                .as_ref()
+                .and_then(|d| d.steps.last()),
+            Some(DegradationStep::IdentityFallback { candidates: 1, .. })
+        );
+        if merge_fallback {
             assert!(sharded.outcome.assignment.is_empty());
         } else {
             // The merged assignment passed the exact global bound.
@@ -227,6 +270,30 @@ mod tests {
                 config.skew_bound
             );
             assert!(!sharded.outcome.assignment.is_empty());
+        }
+    }
+
+    #[test]
+    fn merge_fallback_is_reported_as_a_degradation_step() {
+        // A full-width window at a 5 ps bound lets each shard pick its own
+        // window; the merged assignment then breaks the global bound.
+        let design = scale_design();
+        let kappa = Picoseconds::new(5.0);
+        let mut config = WaveMinConfig::default().with_skew_bound(kappa);
+        config.window_margin = 1.0;
+        let sharded = optimize_sharded(&design, &config, 48).expect("sharded");
+        assert!(sharded.shard_count > 1, "expected a real split");
+        assert!(sharded.outcome.assignment.is_empty());
+        let degradation = sharded
+            .outcome
+            .degradation
+            .expect("fallback must be reported");
+        match degradation.steps.as_slice() {
+            [DegradationStep::IdentityFallback {
+                candidates: 1,
+                best_skew,
+            }] => assert!(best_skew.value() > kappa.value(), "best skew {best_skew}"),
+            other => panic!("expected one merge identity-fallback step, got {other:?}"),
         }
     }
 }

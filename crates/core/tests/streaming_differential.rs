@@ -2,14 +2,9 @@
 //! (lazy characterization + compact archive + spill/recompute) must be
 //! observationally identical to the historical materialize-everything
 //! path — same assignment, same cost bits, same normalized RunReport —
-//! across thread counts, kernel families, and under fault injection.
-//!
-//! The kernel selection is a process-wide switch, so the kernel sweep
-//! lives in one `#[test]` that flips it sequentially (see
-//! `kernel_differential.rs` for the same pattern).
+//! across designs, thread counts, and under fault injection.
 
 use wavemin::prelude::*;
-use wavemin_mosp::{kernels, Kernel};
 
 /// Runs ClkWaveMin twice — materialized and streaming — on identical
 /// configs and asserts the outcomes are bit-for-bit interchangeable.
@@ -66,15 +61,23 @@ fn assert_streaming_equivalent(base: &WaveMinConfig, design: &Design, label: &st
 
 #[test]
 fn streaming_matches_materialized_across_threads() {
-    for bench in [Benchmark::s15850(), Benchmark::s13207()] {
-        let design = Design::from_benchmark(&bench, 7);
+    for (bench, seed) in [
+        (Benchmark::s15850(), 7),
+        (Benchmark::s13207(), 7),
+        (Benchmark::s15850(), 11),
+    ] {
+        let design = Design::from_benchmark(&bench, seed);
         for threads in [1, 4] {
             let mut cfg = WaveMinConfig::default()
                 .with_sample_count(16)
                 .with_threads(threads)
                 .with_metrics(true);
             cfg.max_intervals = Some(6);
-            assert_streaming_equivalent(&cfg, &design, &format!("{} x{threads}", bench.name));
+            assert_streaming_equivalent(
+                &cfg,
+                &design,
+                &format!("{} seed {seed} x{threads}", bench.name),
+            );
         }
     }
 }
@@ -90,20 +93,6 @@ fn streaming_matches_materialized_under_fault_injection() {
         cfg.max_intervals = Some(4);
         assert_streaming_equivalent(&cfg, &design, &format!("faults {seed}:{rate}"));
     }
-}
-
-#[test]
-fn streaming_matches_materialized_on_every_kernel_family() {
-    let design = Design::from_benchmark(&Benchmark::s15850(), 11);
-    let mut cfg = WaveMinConfig::default()
-        .with_sample_count(16)
-        .with_metrics(true);
-    cfg.max_intervals = Some(6);
-    for kernel in [Kernel::Vector, Kernel::Scalar] {
-        kernels::force(Some(kernel));
-        assert_streaming_equivalent(&cfg, &design, &format!("{kernel:?}"));
-    }
-    kernels::force(None);
 }
 
 #[test]

@@ -2,19 +2,18 @@
 //!
 //! Every `|S|`-dimensional cost-vector operation the solvers perform per
 //! label attempt — the label-extension add, Pareto dominance tests, the
-//! min–max reduction, and background accumulation — lives here in two
-//! interchangeable implementations:
+//! min–max reduction, and background accumulation — lives here.
 //!
-//! * [`vector`]: `chunks_exact(8)` bodies with branchless lane
-//!   accumulators, written so LLVM's autovectorizer turns each chunk into
-//!   SIMD at whatever width the target offers (SSE2 at the x86-64
-//!   baseline, wider with `-C target-cpu=native`), plus a scalar loop for
-//!   the `len % 8` remainder.
-//! * [`scalar`]: the plain one-element-at-a-time reference, kept
-//!   permanently as the differential-testing oracle.
+//! The module's top-level functions are the production bodies:
+//! `chunks_exact(8)` loops with branchless lane accumulators, written so
+//! LLVM's autovectorizer turns each chunk into SIMD at whatever width the
+//! target offers (SSE2 at the x86-64 baseline, wider with
+//! `-C target-cpu=native`), plus a scalar loop for the `len % 8`
+//! remainder. [`scalar`] holds the plain one-element-at-a-time reference
+//! for each of them, kept as the differential-testing oracle.
 //!
-//! Both families are **bit-identical** by construction, not merely
-//! approximately equal:
+//! The production bodies are **bit-identical** to the reference by
+//! construction, not merely approximately equal:
 //!
 //! * `add_into`/`add_assign` are elementwise, so the per-element IEEE
 //!   result cannot depend on chunking (Rust never contracts `a + b` into
@@ -22,15 +21,11 @@
 //! * `dominates`/`dominates_or_eq`/`scaled_leq` reduce pure elementwise
 //!   comparisons with `|`/`&`, which are order-independent.
 //! * `max_component`/`add_max` use the NaN-skipping `if x > m` recurrence
-//!   in both families; a lane-split max can differ from the sequential
-//!   fold only in the sign bit of a `±0.0` result, so both families
-//!   canonicalize `-0.0` to `+0.0` on output.
+//!   in both forms; a lane-split max can differ from the sequential fold
+//!   only in the sign bit of a `±0.0` result, so both canonicalize `-0.0`
+//!   to `+0.0` on output.
 //!
-//! The dispatching entry points (the bare function names) choose a family
-//! per call from [`active`]: a process-wide [`force`] override if set,
-//! else the `WAVEMIN_KERNELS` environment variable (read once), else
-//! [`Kernel::Vector`]. Selection never changes semantics — it exists so
-//! CI and the differential suites can pin either path.
+//! `tests/proptest_kernels.rs` checks that identity bit for bit.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -38,74 +33,17 @@ use std::sync::OnceLock;
 /// SIMD-friendly chunk width (f64 lanes per unrolled iteration).
 pub const LANES: usize = 8;
 
-/// Environment variable consulted (once) for the default kernel family:
-/// `scalar` forces the reference path, anything else selects `vector`.
-pub const SELECT_ENV: &str = "WAVEMIN_KERNELS";
-
-/// Which kernel implementation family the dispatching entry points run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kernel {
-    /// The `chunks_exact(8)` autovectorization-friendly path (default).
-    Vector,
-    /// The one-element-at-a-time reference path.
-    Scalar,
-}
-
-impl Kernel {
-    /// Stable lowercase name, as reported in `RunReport` and benches.
-    #[inline]
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Kernel::Vector => "vector",
-            Kernel::Scalar => "scalar",
-        }
-    }
-}
-
-/// 0 = no override (fall back to the environment), 1 = vector, 2 = scalar.
-static FORCED: AtomicU8 = AtomicU8::new(0);
-static FROM_ENV: OnceLock<Kernel> = OnceLock::new();
-
-/// Overrides the kernel family process-wide (`None` restores the
-/// environment-driven default). Takes effect on the next dispatched call;
-/// both families are bit-identical, so flipping mid-run changes timing
-/// only, never results.
-#[inline]
-pub fn force(kernel: Option<Kernel>) {
-    let code = match kernel {
-        None => 0,
-        Some(Kernel::Vector) => 1,
-        Some(Kernel::Scalar) => 2,
-    };
-    FORCED.store(code, Ordering::Relaxed);
-}
-
-/// The kernel family the dispatching entry points currently use.
-#[inline]
-#[must_use]
-pub fn active() -> Kernel {
-    match FORCED.load(Ordering::Relaxed) {
-        1 => Kernel::Vector,
-        2 => Kernel::Scalar,
-        _ => *FROM_ENV.get_or_init(|| match std::env::var(SELECT_ENV) {
-            Ok(v) if v.eq_ignore_ascii_case("scalar") => Kernel::Scalar,
-            _ => Kernel::Vector,
-        }),
-    }
-}
-
 /// Environment variable consulted (once) for the default cost-vector
 /// *storage* precision: `f32` selects the compact half-width slab,
 /// anything else selects `f64`.
 pub const PRECISION_ENV: &str = "WAVEMIN_PRECISION";
 
 /// How archived cost vectors are stored (see
-/// [`crate::storage::CompactCosts`]). Selection mirrors the kernel-family
-/// plumbing: a process-wide [`force_precision`] override, else the
-/// [`PRECISION_ENV`] environment variable (read once), else [`F64`].
+/// [`crate::storage::CompactCosts`]): a process-wide [`force_precision`]
+/// override, else the [`PRECISION_ENV`] environment variable (read once),
+/// else [`F64`].
 ///
-/// Precision governs **storage only** — every arithmetic kernel above
+/// Precision governs **storage only** — every arithmetic kernel in this module
 /// always runs in f64, widening compact rows on read. `F64` storage
 /// round-trips bit-for-bit; `F32` halves the bytes with the error bound
 /// documented on [`CostPrecision::rel_error_bound`].
@@ -198,9 +136,11 @@ pub fn active_precision() -> CostPrecision {
 }
 
 /// The scalar reference implementations — the permanent differential
-/// oracle. Every function here defines the semantics its [`vector`]
-/// counterpart must reproduce bit-for-bit.
+/// oracle. Every function here defines the semantics its production
+/// counterpart in the parent module must reproduce bit-for-bit.
 pub mod scalar {
+    use super::canonical_zero;
+
     /// `out[i] = a[i] + b[i]` (the label-extension add).
     ///
     /// # Panics
@@ -378,371 +318,98 @@ pub mod scalar {
             *o = x as f32;
         }
     }
+}
 
-    #[inline]
-    pub(super) fn canonical_zero(m: f64) -> f64 {
-        // `-0.0 == 0.0`, so this maps both zeros to `+0.0` and leaves
-        // every other value (including ±inf) untouched.
-        if m == 0.0 {
-            0.0
-        } else {
-            m
-        }
+#[inline]
+fn canonical_zero(m: f64) -> f64 {
+    // `-0.0 == 0.0`, so this maps both zeros to `+0.0` and leaves every
+    // other value (including ±inf) untouched.
+    if m == 0.0 {
+        0.0
+    } else {
+        m
     }
 }
 
-/// The `chunks_exact(8)` kernels. Chunk bodies are branchless
-/// fixed-trip-count loops over [`LANES`] elements — the shape LLVM's
-/// autovectorizer reliably turns into SIMD — followed by a scalar loop
-/// over the `len % LANES` remainder. Bit-identical to [`scalar`]; see the
-/// module docs for the argument.
-pub mod vector {
-    use super::scalar::canonical_zero;
-    use super::LANES;
-
-    /// `out[i] = a[i] + b[i]`; see [`super::scalar::add_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths differ.
-    #[inline]
-    pub fn add_into(out: &mut [f64], a: &[f64], b: &[f64]) {
-        assert_eq!(a.len(), b.len(), "kernel operand length mismatch");
-        assert_eq!(out.len(), a.len(), "kernel output length mismatch");
-        let mut co = out.chunks_exact_mut(LANES);
-        let mut ca = a.chunks_exact(LANES);
-        let mut cb = b.chunks_exact(LANES);
-        for ((o, x), y) in (&mut co).zip(&mut ca).zip(&mut cb) {
-            for i in 0..LANES {
-                o[i] = x[i] + y[i];
-            }
-        }
-        for ((o, x), y) in co
-            .into_remainder()
-            .iter_mut()
-            .zip(ca.remainder())
-            .zip(cb.remainder())
-        {
-            *o = x + y;
-        }
-    }
-
-    /// `acc[i] += x[i]`; see [`super::scalar::add_assign`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths differ.
-    #[inline]
-    pub fn add_assign(acc: &mut [f64], x: &[f64]) {
-        assert_eq!(acc.len(), x.len(), "kernel operand length mismatch");
-        let mut ca = acc.chunks_exact_mut(LANES);
-        let mut cx = x.chunks_exact(LANES);
-        for (a, v) in (&mut ca).zip(&mut cx) {
-            for i in 0..LANES {
-                a[i] += v[i];
-            }
-        }
-        for (a, v) in ca.into_remainder().iter_mut().zip(cx.remainder()) {
-            *a += v;
-        }
-    }
-
-    /// Lane-parallel max reduction; see [`super::scalar::max_component`].
-    /// The per-lane `if x > m` recurrence skips NaN exactly like the
-    /// sequential form, and the final `-0.0` canonicalization erases the
-    /// only bit the lane split could change.
-    #[inline]
-    #[must_use]
-    pub fn max_component(v: &[f64]) -> f64 {
-        let chunks = v.chunks_exact(LANES);
-        let rem = chunks.remainder();
-        let mut lanes = [f64::NEG_INFINITY; LANES];
-        for c in chunks {
-            for i in 0..LANES {
-                if c[i] > lanes[i] {
-                    lanes[i] = c[i];
-                }
-            }
-        }
-        let mut m = f64::NEG_INFINITY;
-        for &l in &lanes {
-            if l > m {
-                m = l;
-            }
-        }
-        for &x in rem {
-            if x > m {
-                m = x;
-            }
-        }
-        canonical_zero(m)
-    }
-
-    /// Fused lane-parallel `max(a + b)`; see [`super::scalar::add_max`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths differ.
-    #[inline]
-    #[must_use]
-    pub fn add_max(a: &[f64], b: &[f64]) -> f64 {
-        assert_eq!(a.len(), b.len(), "kernel operand length mismatch");
-        let mut ca = a.chunks_exact(LANES);
-        let mut cb = b.chunks_exact(LANES);
-        let mut lanes = [f64::NEG_INFINITY; LANES];
-        for (x, y) in (&mut ca).zip(&mut cb) {
-            for i in 0..LANES {
-                let s = x[i] + y[i];
-                if s > lanes[i] {
-                    lanes[i] = s;
-                }
-            }
-        }
-        let mut m = f64::NEG_INFINITY;
-        for &l in &lanes {
-            if l > m {
-                m = l;
-            }
-        }
-        for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-            let s = x + y;
-            if s > m {
-                m = s;
-            }
-        }
-        canonical_zero(m)
-    }
-
-    /// Branchless per-chunk comparison masks; see
-    /// [`super::scalar::dominates`]. Each chunk folds its comparisons
-    /// with `|` (order-independent booleans), then bails out early on a
-    /// disqualifying `>` so reject-heavy frontiers stay cheap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vectors differ in length.
-    #[inline]
-    #[must_use]
-    pub fn dominates(a: &[f64], b: &[f64]) -> bool {
-        assert_eq!(a.len(), b.len(), "dominance requires equal dimensions");
-        let ca = a.chunks_exact(LANES);
-        let cb = b.chunks_exact(LANES);
-        let (ra, rb) = (ca.remainder(), cb.remainder());
-        let mut strict = false;
-        for (x, y) in ca.zip(cb) {
-            let mut gt = false;
-            let mut lt = false;
-            for i in 0..LANES {
-                gt |= x[i] > y[i];
-                lt |= x[i] < y[i];
-            }
-            if gt {
-                return false;
-            }
-            strict |= lt;
-        }
-        for (x, y) in ra.iter().zip(rb) {
-            if x > y {
-                return false;
-            }
-            strict |= x < y;
-        }
-        strict
-    }
-
-    /// Weak rejection test; see [`super::scalar::dominates_or_eq`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vectors differ in length.
-    #[inline]
-    #[must_use]
-    pub fn dominates_or_eq(a: &[f64], b: &[f64]) -> bool {
-        assert_eq!(a.len(), b.len(), "dominance requires equal dimensions");
-        let ca = a.chunks_exact(LANES);
-        let cb = b.chunks_exact(LANES);
-        let (ra, rb) = (ca.remainder(), cb.remainder());
-        let mut strict = false;
-        let mut unequal = false;
-        for (x, y) in ca.zip(cb) {
-            let mut gt = false;
-            let mut lt = false;
-            let mut ne = false;
-            for i in 0..LANES {
-                gt |= x[i] > y[i];
-                lt |= x[i] < y[i];
-                ne |= x[i] != y[i];
-            }
-            if gt {
-                return false;
-            }
-            strict |= lt;
-            unequal |= ne;
-        }
-        for (x, y) in ra.iter().zip(rb) {
-            if x > y {
-                return false;
-            }
-            strict |= x < y;
-            unequal |= x != y;
-        }
-        strict || !unequal
-    }
-
-    /// ε-grid weak dominance; see [`super::scalar::scaled_leq`].
-    ///
-    /// Integer compares are single cheap ops, so below one full chunk the
-    /// branchless lane body costs more than the sequential early exit
-    /// saves; short ε-grid rows take the scalar path (same boolean either
-    /// way).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vectors differ in length.
-    #[inline]
-    #[must_use]
-    pub fn scaled_leq(a: &[i64], b: &[i64]) -> bool {
-        assert_eq!(a.len(), b.len(), "dominance requires equal dimensions");
-        if a.len() <= LANES {
-            return a.iter().zip(b).all(|(x, y)| x <= y);
-        }
-        let ca = a.chunks_exact(LANES);
-        let cb = b.chunks_exact(LANES);
-        let (ra, rb) = (ca.remainder(), cb.remainder());
-        for (x, y) in ca.zip(cb) {
-            let mut ok = true;
-            for i in 0..LANES {
-                ok &= x[i] <= y[i];
-            }
-            if !ok {
-                return false;
-            }
-        }
-        ra.iter().zip(rb).all(|(x, y)| x <= y)
-    }
-
-    /// Contiguous slab scan; see
-    /// [`super::scalar::dominated_weakly_by_any`].
-    #[inline]
-    #[must_use]
-    pub fn dominated_weakly_by_any(
-        slab: &[f64],
-        dim: usize,
-        rows: usize,
-        cand: &[f64],
-    ) -> Option<usize> {
-        (0..rows).find(|&r| dominates_or_eq(&slab[r * dim..r * dim + dim], cand))
-    }
-
-    /// Contiguous ε-grid slab scan; see [`super::scalar::scaled_leq_any`].
-    #[inline]
-    #[must_use]
-    pub fn scaled_leq_any(slab: &[i64], dim: usize, rows: usize, cand: &[i64]) -> Option<usize> {
-        (0..rows).find(|&r| scaled_leq(&slab[r * dim..r * dim + dim], cand))
-    }
-
-    /// Ingest guard; see [`super::scalar::invalid_weight`]. Chunks fold a
-    /// branchless validity mask (`is_finite & >= 0`, order-independent
-    /// booleans); only a failing chunk pays a sequential re-scan to
-    /// locate the first offender, so the clean path stays branch-free.
-    #[inline]
-    #[must_use]
-    pub fn invalid_weight(v: &[f64]) -> Option<f64> {
-        let chunks = v.chunks_exact(LANES);
-        let rem = chunks.remainder();
-        for c in chunks {
-            let mut ok = true;
-            for &w in c {
-                ok &= w.is_finite() & (w >= 0.0);
-            }
-            if !ok {
-                return c.iter().copied().find(|w| !w.is_finite() || *w < 0.0);
-            }
-        }
-        rem.iter().copied().find(|w| !w.is_finite() || *w < 0.0)
-    }
-
-    /// Chunked exact widening; see [`super::scalar::widen_into`].
-    /// Per-element casts cannot depend on chunking, so the families are
-    /// trivially bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths differ.
-    #[inline]
-    pub fn widen_into(out: &mut [f64], src: &[f32]) {
-        assert_eq!(out.len(), src.len(), "kernel output length mismatch");
-        let mut co = out.chunks_exact_mut(LANES);
-        let mut cs = src.chunks_exact(LANES);
-        for (o, x) in (&mut co).zip(&mut cs) {
-            for i in 0..LANES {
-                o[i] = f64::from(x[i]);
-            }
-        }
-        for (o, &x) in co.into_remainder().iter_mut().zip(cs.remainder()) {
-            *o = f64::from(x);
-        }
-    }
-
-    /// Chunked round-to-nearest narrowing; see
-    /// [`super::scalar::narrow_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths differ.
-    #[inline]
-    pub fn narrow_into(out: &mut [f32], src: &[f64]) {
-        assert_eq!(out.len(), src.len(), "kernel output length mismatch");
-        let mut co = out.chunks_exact_mut(LANES);
-        let mut cs = src.chunks_exact(LANES);
-        for (o, x) in (&mut co).zip(&mut cs) {
-            for i in 0..LANES {
-                o[i] = x[i] as f32;
-            }
-        }
-        for (o, &x) in co.into_remainder().iter_mut().zip(cs.remainder()) {
-            *o = x as f32;
-        }
-    }
-}
-
-macro_rules! dispatch {
-    ($name:ident ( $($arg:expr),* )) => {
-        match active() {
-            Kernel::Vector => vector::$name($($arg),*),
-            Kernel::Scalar => scalar::$name($($arg),*),
-        }
-    };
-}
-
-/// Dispatching `out[i] = a[i] + b[i]`; see [`scalar::add_into`].
+/// `out[i] = a[i] + b[i]`; see [`scalar::add_into`].
 ///
 /// # Panics
 ///
 /// Panics if the slice lengths differ.
 #[inline]
 pub fn add_into(out: &mut [f64], a: &[f64], b: &[f64]) {
-    dispatch!(add_into(out, a, b));
+    assert_eq!(a.len(), b.len(), "kernel operand length mismatch");
+    assert_eq!(out.len(), a.len(), "kernel output length mismatch");
+    let mut co = out.chunks_exact_mut(LANES);
+    let mut ca = a.chunks_exact(LANES);
+    let mut cb = b.chunks_exact(LANES);
+    for ((o, x), y) in (&mut co).zip(&mut ca).zip(&mut cb) {
+        for i in 0..LANES {
+            o[i] = x[i] + y[i];
+        }
+    }
+    for ((o, x), y) in co
+        .into_remainder()
+        .iter_mut()
+        .zip(ca.remainder())
+        .zip(cb.remainder())
+    {
+        *o = x + y;
+    }
 }
 
-/// Dispatching `acc[i] += x[i]`; see [`scalar::add_assign`].
+/// `acc[i] += x[i]`; see [`scalar::add_assign`].
 ///
 /// # Panics
 ///
 /// Panics if the slice lengths differ.
 #[inline]
 pub fn add_assign(acc: &mut [f64], x: &[f64]) {
-    dispatch!(add_assign(acc, x));
+    assert_eq!(acc.len(), x.len(), "kernel operand length mismatch");
+    let mut ca = acc.chunks_exact_mut(LANES);
+    let mut cx = x.chunks_exact(LANES);
+    for (a, v) in (&mut ca).zip(&mut cx) {
+        for i in 0..LANES {
+            a[i] += v[i];
+        }
+    }
+    for (a, v) in ca.into_remainder().iter_mut().zip(cx.remainder()) {
+        *a += v;
+    }
 }
 
-/// Dispatching max reduction; see [`scalar::max_component`].
+/// Lane-parallel max reduction; see [`scalar::max_component`].
+/// The per-lane `if x > m` recurrence skips NaN exactly like the
+/// sequential form, and the final `-0.0` canonicalization erases the
+/// only bit the lane split could change.
 #[inline]
 #[must_use]
 pub fn max_component(v: &[f64]) -> f64 {
-    dispatch!(max_component(v))
+    let chunks = v.chunks_exact(LANES);
+    let rem = chunks.remainder();
+    let mut lanes = [f64::NEG_INFINITY; LANES];
+    for c in chunks {
+        for i in 0..LANES {
+            if c[i] > lanes[i] {
+                lanes[i] = c[i];
+            }
+        }
+    }
+    let mut m = f64::NEG_INFINITY;
+    for &l in &lanes {
+        if l > m {
+            m = l;
+        }
+    }
+    for &x in rem {
+        if x > m {
+            m = x;
+        }
+    }
+    canonical_zero(m)
 }
 
-/// Dispatching fused `max(a + b)`; see [`scalar::add_max`].
+/// Fused lane-parallel `max(a + b)`; see [`scalar::add_max`].
 ///
 /// # Panics
 ///
@@ -750,10 +417,37 @@ pub fn max_component(v: &[f64]) -> f64 {
 #[inline]
 #[must_use]
 pub fn add_max(a: &[f64], b: &[f64]) -> f64 {
-    dispatch!(add_max(a, b))
+    assert_eq!(a.len(), b.len(), "kernel operand length mismatch");
+    let mut ca = a.chunks_exact(LANES);
+    let mut cb = b.chunks_exact(LANES);
+    let mut lanes = [f64::NEG_INFINITY; LANES];
+    for (x, y) in (&mut ca).zip(&mut cb) {
+        for i in 0..LANES {
+            let s = x[i] + y[i];
+            if s > lanes[i] {
+                lanes[i] = s;
+            }
+        }
+    }
+    let mut m = f64::NEG_INFINITY;
+    for &l in &lanes {
+        if l > m {
+            m = l;
+        }
+    }
+    for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
+        let s = x + y;
+        if s > m {
+            m = s;
+        }
+    }
+    canonical_zero(m)
 }
 
-/// Dispatching strict Pareto dominance; see [`scalar::dominates`].
+/// Branchless per-chunk comparison masks; see
+/// [`scalar::dominates`]. Each chunk folds its comparisons
+/// with `|` (order-independent booleans), then bails out early on a
+/// disqualifying `>` so reject-heavy frontiers stay cheap.
 ///
 /// # Panics
 ///
@@ -761,10 +455,33 @@ pub fn add_max(a: &[f64], b: &[f64]) -> f64 {
 #[inline]
 #[must_use]
 pub fn dominates(a: &[f64], b: &[f64]) -> bool {
-    dispatch!(dominates(a, b))
+    assert_eq!(a.len(), b.len(), "dominance requires equal dimensions");
+    let ca = a.chunks_exact(LANES);
+    let cb = b.chunks_exact(LANES);
+    let (ra, rb) = (ca.remainder(), cb.remainder());
+    let mut strict = false;
+    for (x, y) in ca.zip(cb) {
+        let mut gt = false;
+        let mut lt = false;
+        for i in 0..LANES {
+            gt |= x[i] > y[i];
+            lt |= x[i] < y[i];
+        }
+        if gt {
+            return false;
+        }
+        strict |= lt;
+    }
+    for (x, y) in ra.iter().zip(rb) {
+        if x > y {
+            return false;
+        }
+        strict |= x < y;
+    }
+    strict
 }
 
-/// Dispatching weak rejection test; see [`scalar::dominates_or_eq`].
+/// Weak rejection test; see [`scalar::dominates_or_eq`].
 ///
 /// # Panics
 ///
@@ -772,10 +489,43 @@ pub fn dominates(a: &[f64], b: &[f64]) -> bool {
 #[inline]
 #[must_use]
 pub fn dominates_or_eq(a: &[f64], b: &[f64]) -> bool {
-    dispatch!(dominates_or_eq(a, b))
+    assert_eq!(a.len(), b.len(), "dominance requires equal dimensions");
+    let ca = a.chunks_exact(LANES);
+    let cb = b.chunks_exact(LANES);
+    let (ra, rb) = (ca.remainder(), cb.remainder());
+    let mut strict = false;
+    let mut unequal = false;
+    for (x, y) in ca.zip(cb) {
+        let mut gt = false;
+        let mut lt = false;
+        let mut ne = false;
+        for i in 0..LANES {
+            gt |= x[i] > y[i];
+            lt |= x[i] < y[i];
+            ne |= x[i] != y[i];
+        }
+        if gt {
+            return false;
+        }
+        strict |= lt;
+        unequal |= ne;
+    }
+    for (x, y) in ra.iter().zip(rb) {
+        if x > y {
+            return false;
+        }
+        strict |= x < y;
+        unequal |= x != y;
+    }
+    strict || !unequal
 }
 
-/// Dispatching ε-grid weak dominance; see [`scalar::scaled_leq`].
+/// ε-grid weak dominance; see [`scalar::scaled_leq`].
+///
+/// Integer compares are single cheap ops, so below one full chunk the
+/// branchless lane body costs more than the sequential early exit
+/// saves; short ε-grid rows take the scalar path (same boolean either
+/// way).
 ///
 /// # Panics
 ///
@@ -783,10 +533,26 @@ pub fn dominates_or_eq(a: &[f64], b: &[f64]) -> bool {
 #[inline]
 #[must_use]
 pub fn scaled_leq(a: &[i64], b: &[i64]) -> bool {
-    dispatch!(scaled_leq(a, b))
+    assert_eq!(a.len(), b.len(), "dominance requires equal dimensions");
+    if a.len() <= LANES {
+        return a.iter().zip(b).all(|(x, y)| x <= y);
+    }
+    let ca = a.chunks_exact(LANES);
+    let cb = b.chunks_exact(LANES);
+    let (ra, rb) = (ca.remainder(), cb.remainder());
+    for (x, y) in ca.zip(cb) {
+        let mut ok = true;
+        for i in 0..LANES {
+            ok &= x[i] <= y[i];
+        }
+        if !ok {
+            return false;
+        }
+    }
+    ra.iter().zip(rb).all(|(x, y)| x <= y)
 }
 
-/// Dispatching contiguous slab scan; see
+/// Contiguous slab scan; see
 /// [`scalar::dominated_weakly_by_any`].
 #[inline]
 #[must_use]
@@ -796,41 +562,78 @@ pub fn dominated_weakly_by_any(
     rows: usize,
     cand: &[f64],
 ) -> Option<usize> {
-    dispatch!(dominated_weakly_by_any(slab, dim, rows, cand))
+    (0..rows).find(|&r| dominates_or_eq(&slab[r * dim..r * dim + dim], cand))
 }
 
-/// Dispatching contiguous ε-grid slab scan; see [`scalar::scaled_leq_any`].
+/// Contiguous ε-grid slab scan; see [`scalar::scaled_leq_any`].
 #[inline]
 #[must_use]
 pub fn scaled_leq_any(slab: &[i64], dim: usize, rows: usize, cand: &[i64]) -> Option<usize> {
-    dispatch!(scaled_leq_any(slab, dim, rows, cand))
+    (0..rows).find(|&r| scaled_leq(&slab[r * dim..r * dim + dim], cand))
 }
 
-/// Dispatching ingest guard; see [`scalar::invalid_weight`].
+/// Ingest guard; see [`scalar::invalid_weight`]. Chunks fold a
+/// branchless validity mask (`is_finite & >= 0`, order-independent
+/// booleans); only a failing chunk pays a sequential re-scan to
+/// locate the first offender, so the clean path stays branch-free.
 #[inline]
 #[must_use]
 pub fn invalid_weight(v: &[f64]) -> Option<f64> {
-    dispatch!(invalid_weight(v))
+    let chunks = v.chunks_exact(LANES);
+    let rem = chunks.remainder();
+    for c in chunks {
+        let mut ok = true;
+        for &w in c {
+            ok &= w.is_finite() & (w >= 0.0);
+        }
+        if !ok {
+            return c.iter().copied().find(|w| !w.is_finite() || *w < 0.0);
+        }
+    }
+    rem.iter().copied().find(|w| !w.is_finite() || *w < 0.0)
 }
 
-/// Dispatching exact widening; see [`scalar::widen_into`].
+/// Chunked exact widening; see [`scalar::widen_into`].
+/// Per-element casts cannot depend on chunking, so this is trivially
+/// bit-identical to the reference.
 ///
 /// # Panics
 ///
 /// Panics if the slice lengths differ.
 #[inline]
 pub fn widen_into(out: &mut [f64], src: &[f32]) {
-    dispatch!(widen_into(out, src));
+    assert_eq!(out.len(), src.len(), "kernel output length mismatch");
+    let mut co = out.chunks_exact_mut(LANES);
+    let mut cs = src.chunks_exact(LANES);
+    for (o, x) in (&mut co).zip(&mut cs) {
+        for i in 0..LANES {
+            o[i] = f64::from(x[i]);
+        }
+    }
+    for (o, &x) in co.into_remainder().iter_mut().zip(cs.remainder()) {
+        *o = f64::from(x);
+    }
 }
 
-/// Dispatching round-to-nearest narrowing; see [`scalar::narrow_into`].
+/// Chunked round-to-nearest narrowing; see
+/// [`scalar::narrow_into`].
 ///
 /// # Panics
 ///
 /// Panics if the slice lengths differ.
 #[inline]
 pub fn narrow_into(out: &mut [f32], src: &[f64]) {
-    dispatch!(narrow_into(out, src));
+    assert_eq!(out.len(), src.len(), "kernel output length mismatch");
+    let mut co = out.chunks_exact_mut(LANES);
+    let mut cs = src.chunks_exact(LANES);
+    for (o, x) in (&mut co).zip(&mut cs) {
+        for i in 0..LANES {
+            o[i] = x[i] as f32;
+        }
+    }
+    for (o, &x) in co.into_remainder().iter_mut().zip(cs.remainder()) {
+        *o = x as f32;
+    }
 }
 
 #[cfg(test)]
@@ -839,8 +642,12 @@ mod tests {
 
     fn both_max(v: &[f64]) -> f64 {
         let s = scalar::max_component(v);
-        let vv = vector::max_component(v);
-        assert_eq!(s.to_bits(), vv.to_bits(), "families disagree on {v:?}");
+        let vv = max_component(v);
+        assert_eq!(
+            s.to_bits(),
+            vv.to_bits(),
+            "production and reference disagree on {v:?}"
+        );
         s
     }
 
@@ -872,7 +679,7 @@ mod tests {
         scalar::add_into(&mut sum, &a, &b);
         let expect = scalar::max_component(&sum);
         assert_eq!(scalar::add_max(&a, &b).to_bits(), expect.to_bits());
-        assert_eq!(vector::add_max(&a, &b).to_bits(), expect.to_bits());
+        assert_eq!(add_max(&a, &b).to_bits(), expect.to_bits());
     }
 
     #[test]
@@ -885,23 +692,23 @@ mod tests {
             (vec![f64::NAN, 1.0], vec![f64::NAN, 2.0], true),
         ] {
             assert_eq!(scalar::dominates(&a, &b), want, "scalar {a:?} {b:?}");
-            assert_eq!(vector::dominates(&a, &b), want, "vector {a:?} {b:?}");
+            assert_eq!(dominates(&a, &b), want, "production {a:?} {b:?}");
         }
         assert!(!scalar::dominates(&[], &[]));
-        assert!(!vector::dominates(&[], &[]));
+        assert!(!dominates(&[], &[]));
     }
 
     #[test]
     fn dominates_or_eq_adds_exact_equality() {
         let a = [1.0, 2.0, 3.0];
         assert!(scalar::dominates_or_eq(&a, &a));
-        assert!(vector::dominates_or_eq(&a, &a));
+        assert!(dominates_or_eq(&a, &a));
         assert!(scalar::dominates_or_eq(&[], &[]), "empty slices are equal");
-        assert!(vector::dominates_or_eq(&[], &[]));
+        assert!(dominates_or_eq(&[], &[]));
         // NaN != NaN, so a NaN pair is neither dominated nor a duplicate.
         let n = [f64::NAN];
         assert!(!scalar::dominates_or_eq(&n, &n));
-        assert!(!vector::dominates_or_eq(&n, &n));
+        assert!(!dominates_or_eq(&n, &n));
     }
 
     #[test]
@@ -909,10 +716,10 @@ mod tests {
         let a: Vec<i64> = (0..17).collect();
         let mut b = a.clone();
         assert!(scalar::scaled_leq(&a, &b));
-        assert!(vector::scaled_leq(&a, &b));
+        assert!(scaled_leq(&a, &b));
         b[11] -= 1;
         assert!(!scalar::scaled_leq(&a, &b));
-        assert!(!vector::scaled_leq(&a, &b));
+        assert!(!scaled_leq(&a, &b));
     }
 
     #[test]
@@ -923,39 +730,23 @@ mod tests {
             scalar::dominated_weakly_by_any(&slab, 2, 3, &[2.0, 4.0]),
             Some(1)
         );
-        assert_eq!(
-            vector::dominated_weakly_by_any(&slab, 2, 3, &[2.0, 4.0]),
-            Some(1)
-        );
+        assert_eq!(dominated_weakly_by_any(&slab, 2, 3, &[2.0, 4.0]), Some(1));
         assert_eq!(
             scalar::dominated_weakly_by_any(&slab, 2, 1, &[2.0, 4.0]),
             None
         );
         let islab = [3i64, 3, 0, 1];
         assert_eq!(scalar::scaled_leq_any(&islab, 2, 2, &[1, 1]), Some(1));
-        assert_eq!(vector::scaled_leq_any(&islab, 2, 2, &[1, 1]), Some(1));
-    }
-
-    #[test]
-    fn forced_selection_overrides_environment() {
-        force(Some(Kernel::Scalar));
-        assert_eq!(active(), Kernel::Scalar);
-        assert_eq!(active().name(), "scalar");
-        force(Some(Kernel::Vector));
-        assert_eq!(active(), Kernel::Vector);
-        force(None);
-        // Back to the environment default (vector unless WAVEMIN_KERNELS
-        // says otherwise; both answers are semantically identical).
-        let _ = active();
+        assert_eq!(scaled_leq_any(&islab, 2, 2, &[1, 1]), Some(1));
     }
 
     #[test]
     fn invalid_weight_families_agree() {
-        // Clean vectors of every chunking shape pass both families.
+        // Clean vectors of every chunking shape pass both forms.
         for len in [0usize, 1, 7, 8, 9, 16, 17] {
             let v: Vec<f64> = (0..len).map(|i| i as f64 * 0.25).collect();
             assert_eq!(scalar::invalid_weight(&v), None, "scalar len {len}");
-            assert_eq!(vector::invalid_weight(&v), None, "vector len {len}");
+            assert_eq!(invalid_weight(&v), None, "production len {len}");
         }
         // First offender wins, wherever the chunk boundary falls.
         for (pos, bad) in [
@@ -968,20 +759,20 @@ mod tests {
             v[pos] = bad;
             v[12] = if pos == 12 { bad } else { f64::NEG_INFINITY };
             let s = scalar::invalid_weight(&v);
-            let vv = vector::invalid_weight(&v);
+            let vv = invalid_weight(&v);
             assert_eq!(s.map(f64::to_bits), vv.map(f64::to_bits), "pos {pos}");
             assert_eq!(s.map(f64::to_bits), Some(bad.to_bits()), "pos {pos}");
         }
-        // -0.0 is a valid (zero) weight in both families.
+        // -0.0 is a valid (zero) weight in both forms.
         assert_eq!(scalar::invalid_weight(&[-0.0; 9]), None);
-        assert_eq!(vector::invalid_weight(&[-0.0; 9]), None);
+        assert_eq!(invalid_weight(&[-0.0; 9]), None);
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn add_into_rejects_length_mismatch() {
         let mut out = [0.0; 2];
-        vector::add_into(&mut out, &[1.0, 2.0], &[1.0]);
+        add_into(&mut out, &[1.0, 2.0], &[1.0]);
     }
 
     #[test]
@@ -991,7 +782,7 @@ mod tests {
             let mut ns = vec![0.0f32; len];
             let mut nv = vec![0.0f32; len];
             scalar::narrow_into(&mut ns, &src);
-            vector::narrow_into(&mut nv, &src);
+            narrow_into(&mut nv, &src);
             assert_eq!(
                 ns.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                 nv.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
@@ -1000,7 +791,7 @@ mod tests {
             let mut ws = vec![0.0f64; len];
             let mut wv = vec![0.0f64; len];
             scalar::widen_into(&mut ws, &ns);
-            vector::widen_into(&mut wv, &nv);
+            widen_into(&mut wv, &nv);
             assert_eq!(
                 ws.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                 wv.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),

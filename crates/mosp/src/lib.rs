@@ -52,7 +52,7 @@ pub mod storage;
 
 pub use budget::{Budget, Exhaustion};
 pub use graph::{MospError, MospGraph, VertexId};
-pub use kernels::{CostPrecision, Kernel};
+pub use kernels::CostPrecision;
 pub use pareto::{ParetoFront, ParetoPath, ParetoSet, SolveStats};
 pub use solve::{SolveObserver, SolveSpec};
 pub use storage::CompactCosts;

@@ -723,6 +723,25 @@ mod tests {
     }
 
     #[test]
+    fn scaled_leq_agrees_across_the_short_row_cutoff() {
+        // Lengths on both sides of the `len <= LANES` short-row path and
+        // of every chunk/remainder split, with the one violating
+        // component placed at each position in turn.
+        for len in 0..=2 * LANES + 1 {
+            let a: Vec<i64> = (0..len as i64).collect();
+            assert!(scalar::scaled_leq(&a, &a));
+            assert!(scaled_leq(&a, &a), "len {len}: reflexive");
+            for at in 0..len {
+                let mut b = a.clone();
+                b[at] -= 1;
+                assert!(!scalar::scaled_leq(&a, &b));
+                assert!(!scaled_leq(&a, &b), "len {len}: violation at {at}");
+                assert!(scaled_leq(&b, &a), "len {len}: reverse holds");
+            }
+        }
+    }
+
+    #[test]
     fn slab_scans_report_first_hit() {
         // Rows: (5,5), (1,4), (2,2) against candidate (2,4).
         let slab = [5.0, 5.0, 1.0, 4.0, 2.0, 2.0];

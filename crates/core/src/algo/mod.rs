@@ -115,6 +115,17 @@ pub enum DegradationStep {
         /// The smallest exact skew among them.
         best_skew: Picoseconds,
     },
+    /// One shard of a sharded run ([`crate::shardrun`]) fell back to the
+    /// identity assignment while other shards' assignments were kept, so
+    /// only that shard's subtree was returned unchanged.
+    ShardIdentityFallback {
+        /// The shard, in shard order.
+        shard: usize,
+        /// How many of the shard's ranked candidates were rejected.
+        candidates: usize,
+        /// The smallest exact skew among them.
+        best_skew: Picoseconds,
+    },
 }
 
 impl std::fmt::Display for DegradationStep {
@@ -142,6 +153,15 @@ impl std::fmt::Display for DegradationStep {
                 f,
                 "identity fallback: all {candidates} ranked candidate(s) failed exact skew \
                  validation (best {best_skew:.2})"
+            ),
+            Self::ShardIdentityFallback {
+                shard,
+                candidates,
+                best_skew,
+            } => write!(
+                f,
+                "shard {shard} identity fallback: all {candidates} ranked candidate(s) failed \
+                 exact skew validation (best {best_skew:.2}); its subtree was left unchanged"
             ),
         }
     }
@@ -223,7 +243,9 @@ pub struct Outcome {
     /// Zones whose solve faulted (panicked or hit an injected fault) and
     /// were salvaged by a greedy retry, sorted ascending. Empty for a
     /// clean run; non-empty means the assignment is valid but those zones
-    /// carry no optimality claim.
+    /// carry no optimality claim. A sharded run lists each shard's
+    /// zones (shard-local ids, like its `ZoneFaultContained` steps) in
+    /// shard order.
     #[serde(default)]
     pub faulted_zones: Vec<usize>,
 }

@@ -660,14 +660,13 @@ fn optimize(flags: &Flags) -> Result<(), CliError> {
     let outcome = match (algorithm, shard_sinks) {
         ("wavemin", Some(max_sinks)) => {
             wavemin::shardrun::optimize_sharded(&design, &config, max_sinks).map(|sharded| {
-                // The steps do not say whether the merge or every shard
-                // fell back, only that nothing was kept.
-                let unchanged = sharded.outcome.assignment.is_empty()
-                    && sharded.outcome.degradation.as_ref().is_some_and(|d| {
-                        d.steps
-                            .iter()
-                            .any(|s| matches!(s, DegradationStep::IdentityFallback { .. }))
-                    });
+                // A shard-only fallback is a `ShardIdentityFallback` step;
+                // an identity step means nothing was kept.
+                let unchanged = sharded.outcome.degradation.as_ref().is_some_and(|d| {
+                    d.steps
+                        .iter()
+                        .any(|s| matches!(s, DegradationStep::IdentityFallback { .. }))
+                });
                 eprintln!(
                     "sharded: {} shard(s), sinks per shard {}{}",
                     sharded.shard_count,
@@ -716,11 +715,14 @@ fn optimize(flags: &Flags) -> Result<(), CliError> {
             )));
         }
         if let Some(d) = &outcome.degradation {
-            if let Some(fallback) = d
-                .steps
-                .iter()
-                .find(|s| matches!(s, DegradationStep::IdentityFallback { .. }))
-            {
+            // A merge fallback comes after the shard steps; name it first.
+            if let Some(fallback) = d.steps.iter().rev().find(|s| {
+                matches!(
+                    s,
+                    DegradationStep::IdentityFallback { .. }
+                        | DegradationStep::ShardIdentityFallback { .. }
+                )
+            }) {
                 return Err(CliError::degraded(format!("--strict: {fallback}")));
             }
             return Err(CliError::degraded(format!(

@@ -1981,16 +1981,9 @@ mod tests {
         assert_eq!(back.counters.zone_faults, 0);
         assert_eq!(back.counters.zones_reused, 0);
         back.validate().expect("defaults stay self-consistent");
-    }
 
-    #[test]
-    fn decode_ignores_the_kernel_name_older_reports_carry() {
         // Older builds also stamped the kernel family's name; such a
         // report decodes to the same value, the name ignored.
-        let r = MetricsRegistry::enabled(false);
-        r.record_zone_solve(0, &sample_record(4));
-        let report = r.report(&ReportContext::default()).expect("enabled");
-        let json = serde_json::to_string(&report).expect("serialize");
         let stamped = json.replacen("\"threads\":0,", "\"threads\":0,\"kernel\":\"scalar\",", 1);
         assert_ne!(stamped, json, "fixture must actually add the field");
         let back = RunReport::from_json(&stamped).expect("kernel-stamped report decodes");

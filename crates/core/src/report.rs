@@ -86,18 +86,30 @@ pub fn degradation_summary(degradation: Option<&Degradation>) -> String {
                 .steps
                 .iter()
                 .any(|s| matches!(s, DegradationStep::IdentityFallback { .. }));
+            let shard_fallbacks = d
+                .steps
+                .iter()
+                .filter(|s| matches!(s, DegradationStep::ShardIdentityFallback { .. }))
+                .count();
             // A fault- or fallback-only record has nothing budget-related
             // to report; don't open with a confusing "0/N solves
             // exhausted" line.
-            let mut out = if d.exhausted_solves > 0 || (faults == 0 && !fallback) {
+            let mut out = if d.exhausted_solves > 0
+                || (faults == 0 && !fallback && shard_fallbacks == 0)
+            {
                 format!(
                     "degraded: {}/{} zone solves exhausted their budget\n",
                     d.exhausted_solves, d.total_solves
                 )
             } else if faults > 0 {
                 "degraded: stayed within budget, but zone workers faulted\n".to_owned()
-            } else {
+            } else if fallback {
                 "degraded: stayed within budget, but the design was returned unchanged\n".to_owned()
+            } else {
+                format!(
+                    "degraded: stayed within budget, but {shard_fallbacks} shard(s) were left \
+                     unchanged\n"
+                )
             };
             if faults > 0 {
                 out.push_str(&format!(
@@ -207,5 +219,21 @@ mod tests {
             s.contains("identity fallback: all 3 ranked candidate(s)"),
             "{s}"
         );
+        // One shard falling back while the others' cells are kept is
+        // partial: the design as a whole was not returned unchanged.
+        let d = Degradation {
+            steps: vec![DegradationStep::ShardIdentityFallback {
+                shard: 4,
+                candidates: 2,
+                best_skew: wavemin_cells::units::Picoseconds::new(21.5),
+            }],
+            exhausted_solves: 0,
+            total_solves: 12,
+        };
+        let s = degradation_summary(Some(&d));
+        assert!(s.contains("1 shard(s) were left unchanged"), "{s}");
+        assert!(!s.contains("returned unchanged"), "{s}");
+        assert!(!s.contains("0/12"), "{s}");
+        assert!(s.contains("shard 4 identity fallback"), "{s}");
     }
 }

@@ -18,9 +18,12 @@
 //! identity assignment and records a final
 //! [`DegradationStep::IdentityFallback`], mirroring the interval
 //! framework's own validation ladder. Every shard's own degradation
-//! steps are carried into the merged outcome in shard order (zone ids in
-//! them are shard-local), so a sharded run reports what it relaxed like
-//! an unsharded one. In practice equalized trees anchor every shard on
+//! steps and faulted zones are carried into the merged outcome in shard
+//! order (zone ids in them are shard-local), so a sharded run reports
+//! what it relaxed like an unsharded one. A shard's own identity
+//! fallback becomes a [`DegradationStep::ShardIdentityFallback`] when
+//! other shards' cells were kept, since then only that subtree was left
+//! unchanged. In practice equalized trees anchor every shard on
 //! near-identical arrival sets and the merge passes.
 
 use crate::algo::{count_kind, finish_outcome, ClkWaveMin, Degradation, DegradationStep, Outcome};
@@ -67,17 +70,19 @@ pub fn optimize_sharded(
     let mut intervals_tried = 0;
     let mut runtime = std::time::Duration::ZERO;
     let mut degenerate_zones = 0;
-    let mut degradation = None;
+    let mut faulted_zones = Vec::new();
+    let mut shard_records = Vec::new();
     let solver = ClkWaveMin::new(config.clone());
-    for shard in &shards {
+    for (index, shard) in shards.iter().enumerate() {
         shard_sinks.push(shard.tree.leaves().len());
         let sub = shard_design(design, shard);
         let out = solver.run(&sub)?;
         intervals_tried += out.intervals_tried;
         runtime += out.runtime;
         degenerate_zones += out.degenerate_zones;
+        faulted_zones.extend(out.faulted_zones);
         if let Some(d) = out.degradation {
-            merge_degradation(&mut degradation, d);
+            shard_records.push((index, d));
         }
         // A shard that fell back to identity reports a NaN cost; the
         // merged cost only aggregates real zone objectives.
@@ -93,6 +98,8 @@ pub fn optimize_sharded(
             }
         }
     }
+
+    let mut degradation = merge_shard_records(shard_records, !merged.is_empty());
 
     // Exact global validation on the full tree — the authoritative
     // cross-shard skew check.
@@ -131,11 +138,39 @@ pub fn optimize_sharded(
     };
     outcome.degenerate_zones = degenerate_zones;
     outcome.degradation = degradation;
+    outcome.faulted_zones = faulted_zones;
     Ok(ShardedOutcome {
         outcome,
         shard_count,
         shard_sinks,
     })
+}
+
+/// Concatenates the shards' records (shard index, record) in shard
+/// order. While any shard's cells are kept (`partial`), a shard's
+/// identity fallback left only its own subtree unchanged, so it becomes a
+/// [`DegradationStep::ShardIdentityFallback`].
+fn merge_shard_records(records: Vec<(usize, Degradation)>, partial: bool) -> Option<Degradation> {
+    let mut merged = None;
+    for (index, mut d) in records {
+        if partial {
+            for step in &mut d.steps {
+                if let DegradationStep::IdentityFallback {
+                    candidates,
+                    best_skew,
+                } = *step
+                {
+                    *step = DegradationStep::ShardIdentityFallback {
+                        shard: index,
+                        candidates,
+                        best_skew,
+                    };
+                }
+            }
+        }
+        merge_degradation(&mut merged, d);
+    }
+    merged
 }
 
 /// Appends `d`'s steps and solve counts to the run's record.
@@ -216,18 +251,26 @@ mod tests {
     #[test]
     fn one_big_shard_matches_plain_run_bit_for_bit() {
         let design = scale_design();
-        // The fault plan makes the shard's run degrade; its steps must
-        // reach the merged outcome unchanged (one thread keeps their
-        // order fixed).
-        for fault_plan in [None, Some(crate::fault::FaultPlan { seed: 3, rate: 0.1 })] {
-            let config = WaveMinConfig::default()
-                .with_threads(1)
-                .with_fault_plan(fault_plan);
+        // The default config picks up the environment's fault plan and
+        // thread count. The one-thread fault plan keeps the order of its
+        // fault steps fixed, so its whole record must match too.
+        let faulted = WaveMinConfig::default()
+            .with_threads(1)
+            .with_fault_plan(Some(crate::fault::FaultPlan { seed: 3, rate: 0.1 }));
+        for (config, whole_record) in [(WaveMinConfig::default(), false), (faulted, true)] {
             let plain = ClkWaveMin::new(config.clone()).run(&design).expect("plain");
             let sharded = optimize_sharded(&design, &config, usize::MAX).expect("sharded");
             assert_eq!(sharded.shard_count, 1);
-            assert_eq!(plain.degradation.is_some(), fault_plan.is_some());
-            assert_eq!(sharded.outcome.degradation, plain.degradation);
+            assert_eq!(
+                identity_fallbacks(&sharded.outcome),
+                identity_fallbacks(&plain),
+                "the merge must not fall back"
+            );
+            assert_eq!(sharded.outcome.faulted_zones, plain.faulted_zones);
+            if whole_record {
+                assert!(!plain.faulted_zones.is_empty(), "faults must fire");
+                assert_eq!(sharded.outcome.degradation, plain.degradation);
+            }
             assert_eq!(sharded.outcome.assignment, plain.assignment);
             assert_eq!(
                 sharded.outcome.estimated_cost.to_bits(),
@@ -238,6 +281,15 @@ mod tests {
                 plain.skew_after.value().to_bits()
             );
         }
+    }
+
+    fn identity_fallbacks(outcome: &Outcome) -> usize {
+        outcome.degradation.as_ref().map_or(0, |d| {
+            d.steps
+                .iter()
+                .filter(|s| matches!(s, DegradationStep::IdentityFallback { .. }))
+                .count()
+        })
     }
 
     #[test]
@@ -288,12 +340,64 @@ mod tests {
             .outcome
             .degradation
             .expect("fallback must be reported");
-        match degradation.steps.as_slice() {
+        // Faults from the environment's fault plan may precede it.
+        let steps: Vec<_> = degradation
+            .steps
+            .iter()
+            .filter(|s| !matches!(s, DegradationStep::ZoneFaultContained { .. }))
+            .collect();
+        match steps.as_slice() {
             [DegradationStep::IdentityFallback {
                 candidates: 1,
                 best_skew,
             }] => assert!(best_skew.value() > kappa.value(), "best skew {best_skew}"),
             other => panic!("expected one merge identity-fallback step, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn shard_fallbacks_are_partial_while_other_cells_are_kept() {
+        let fallback = DegradationStep::IdentityFallback {
+            candidates: 2,
+            best_skew: Picoseconds::new(20.8),
+        };
+        let fault = DegradationStep::ZoneFaultContained { zone: 3 };
+        let records = || {
+            vec![
+                (
+                    1,
+                    Degradation {
+                        steps: vec![fault.clone(), fallback.clone()],
+                        exhausted_solves: 1,
+                        total_solves: 5,
+                    },
+                ),
+                (
+                    3,
+                    Degradation {
+                        steps: vec![fallback.clone()],
+                        exhausted_solves: 0,
+                        total_solves: 4,
+                    },
+                ),
+            ]
+        };
+        // Every shard fell back: the merged result is the identity.
+        let whole = merge_shard_records(records(), false).expect("record");
+        assert_eq!(
+            whole.steps,
+            vec![fault.clone(), fallback.clone(), fallback.clone()]
+        );
+        assert_eq!((whole.exhausted_solves, whole.total_solves), (1, 9));
+        // Other shards' cells were kept: each fallback names its shard.
+        let partial = merge_shard_records(records(), true).expect("record");
+        let shard = |shard| DegradationStep::ShardIdentityFallback {
+            shard,
+            candidates: 2,
+            best_skew: Picoseconds::new(20.8),
+        };
+        assert_eq!(partial.steps, vec![fault.clone(), shard(1), shard(3)]);
+        assert_eq!((partial.exhausted_solves, partial.total_solves), (1, 9));
+        assert!(merge_shard_records(Vec::new(), true).is_none());
     }
 }

@@ -713,17 +713,6 @@ mod tests {
 
     #[test]
     fn scaled_leq_families_agree() {
-        let a: Vec<i64> = (0..17).collect();
-        let mut b = a.clone();
-        assert!(scalar::scaled_leq(&a, &b));
-        assert!(scaled_leq(&a, &b));
-        b[11] -= 1;
-        assert!(!scalar::scaled_leq(&a, &b));
-        assert!(!scaled_leq(&a, &b));
-    }
-
-    #[test]
-    fn scaled_leq_agrees_across_the_short_row_cutoff() {
         // Lengths on both sides of the `len <= LANES` short-row path and
         // of every chunk/remainder split, with the one violating
         // component placed at each position in turn.

@@ -115,13 +115,16 @@ fn bench_metrics_overhead(c: &mut Criterion) {
             .with_threads(1)
             .with_metrics(collect);
         cfg.max_intervals = Some(8);
-        let mut algo = ClkWaveMin::new(cfg);
+        let mut obs = Observer::from_config(&cfg);
         if progress {
-            let tracker = ProgressTracker::enabled(std::time::Duration::from_millis(50), |_p| {});
-            algo = algo.with_progress(tracker);
+            obs.progress = ProgressTracker::enabled(std::time::Duration::from_millis(50), |_p| {});
         }
+        let algo = ClkWaveMin::new(cfg);
         group.bench_with_input(BenchmarkId::new("metrics", name), &design, |b, design| {
-            b.iter(|| algo.run(std::hint::black_box(design)).unwrap());
+            b.iter(|| {
+                algo.run_observed(std::hint::black_box(design), &obs)
+                    .unwrap()
+            });
         });
     }
     group.finish();
@@ -129,7 +132,7 @@ fn bench_metrics_overhead(c: &mut Criterion) {
 
 /// A/B overhead of the event journal, mirroring `metrics_overhead`.
 ///
-/// End-to-end, `disabled` runs `run_traced` with a disabled journal — the
+/// End-to-end, `disabled` runs `run_observed` with a disabled journal — the
 /// production default, one branch per hook site — and must stay within
 /// noise of the plain `run`; `enabled` bounds what a full journal costs an
 /// end-to-end run. Solver-level, `enabled` drives the `warburton_rows/8`
@@ -146,21 +149,22 @@ fn bench_trace_overhead(c: &mut Criterion) {
         .with_sample_count(32)
         .with_threads(1);
     cfg.max_intervals = Some(8);
+    let disabled = Observer::from_config(&cfg);
     let algo = ClkWaveMin::new(cfg);
     group.bench_with_input(BenchmarkId::new("e2e", "baseline"), &design, |b, design| {
         b.iter(|| algo.run(std::hint::black_box(design)).unwrap());
     });
-    let disabled = TraceJournal::disabled();
     group.bench_with_input(BenchmarkId::new("e2e", "disabled"), &design, |b, design| {
         b.iter(|| {
-            algo.run_traced(std::hint::black_box(design), &disabled)
+            algo.run_observed(std::hint::black_box(design), &disabled)
                 .unwrap()
         });
     });
     group.bench_with_input(BenchmarkId::new("e2e", "enabled"), &design, |b, design| {
         b.iter(|| {
-            let journal = TraceJournal::enabled();
-            algo.run_traced(std::hint::black_box(design), &journal)
+            let mut obs = disabled.clone();
+            obs.trace = TraceJournal::enabled();
+            algo.run_observed(std::hint::black_box(design), &obs)
                 .unwrap()
         });
     });

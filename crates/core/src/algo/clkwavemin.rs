@@ -8,8 +8,7 @@ use crate::config::{SolverKind, WaveMinConfig};
 use crate::design::Design;
 use crate::error::WaveMinError;
 use crate::fault::{FaultKind, FaultObserver, FaultPlan, FaultSite};
-use crate::observe::{MetricsRegistry, ZoneSolveRecord};
-use crate::trace::TraceJournal;
+use crate::observe::{Observer, ZoneSolveRecord};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use wavemin_cells::units::Picoseconds;
@@ -35,27 +34,13 @@ use wavemin_mosp::{
 #[derive(Debug, Clone)]
 pub struct ClkWaveMin {
     config: WaveMinConfig,
-    progress: crate::observe::ProgressTracker,
 }
 
 impl ClkWaveMin {
     /// Creates the optimizer with the given configuration.
     #[must_use]
     pub fn new(config: WaveMinConfig) -> Self {
-        Self {
-            config,
-            progress: crate::observe::ProgressTracker::disabled(),
-        }
-    }
-
-    /// Attaches a progress channel: the solve phase emits periodic
-    /// [`crate::observe::Progress`] snapshots through `progress` (and the
-    /// ticker folds RSS samples into the peak gauge). Disabled by
-    /// default; observation-only, so outcomes stay bit-identical.
-    #[must_use]
-    pub fn with_progress(mut self, progress: crate::observe::ProgressTracker) -> Self {
-        self.progress = progress;
-        self
+        Self { config }
     }
 
     /// The configuration in use.
@@ -75,35 +60,24 @@ impl ClkWaveMin {
     /// [`WaveMinError::NoFeasibleInterval`] when no assignment can satisfy
     /// the skew bound; timing/characterization errors otherwise.
     pub fn run(&self, design: &Design) -> Result<Outcome, WaveMinError> {
-        self.run_traced(design, &TraceJournal::disabled())
+        self.run_observed(design, &Observer::from_config(&self.config))
     }
 
-    /// [`ClkWaveMin::run`] with an event journal attached: zone /
-    /// graph-layer / label-batch spans and ladder/budget instants land in
-    /// `journal` (see [`TraceJournal::chrome_trace`]). A disabled journal
-    /// makes this identical to `run` — the instrumentation is a single
-    /// branch per hook.
+    /// [`ClkWaveMin::run`] reporting through `obs`: stage, zone /
+    /// graph-layer / label-batch spans and ladder, budget and candidate
+    /// instants land in its journal (see
+    /// [`crate::trace::TraceJournal::chrome_trace`]), and the solve phase
+    /// streams [`crate::observe::Progress`] snapshots through its progress
+    /// channel. Build it with `Observer::from_config(algo.config())` so the
+    /// run report follows the config. Every sink is observation-only:
+    /// outcomes are bit-identical to `run`.
     ///
     /// # Errors
     ///
     /// Same as [`ClkWaveMin::run`].
-    pub fn run_traced(
-        &self,
-        design: &Design,
-        journal: &TraceJournal,
-    ) -> Result<Outcome, WaveMinError> {
-        let registry = MetricsRegistry::from_config(&self.config);
-        let solver = MospLadder::new(&self.config, self.config.budget(), registry.clone())
-            .with_journal(journal.clone())
-            .with_progress(self.progress.clone());
-        optimize_single_mode(
-            design,
-            &self.config,
-            &solver,
-            &registry,
-            journal,
-            &self.progress,
-        )
+    pub fn run_observed(&self, design: &Design, obs: &Observer) -> Result<Outcome, WaveMinError> {
+        let solver = MospLadder::new(&self.config, self.config.budget(), obs.clone());
+        optimize_single_mode(design, &self.config, &solver, obs)
     }
 }
 
@@ -133,17 +107,12 @@ pub(crate) struct MospLadder {
     /// can poison the lock, never corrupt this).
     last_rung: AtomicUsize,
     /// The run's deterministic fault schedule (`None` in production);
-    /// consulted by [`solve_zone_mosp_generic`] on non-salvage solves.
+    /// consulted by [`solve_zone_mosp`] on non-salvage solves.
     pub(crate) fault_plan: Option<FaultPlan>,
-    /// Metrics sink shared with the run's driver; rung transitions and
-    /// (through [`solve_zone_mosp_generic`]) zone solves land here.
-    pub(crate) registry: MetricsRegistry,
-    /// Event journal shared with the run's driver; zone/layer/batch spans
-    /// and rung/budget instants land here (disabled by default).
-    pub(crate) journal: TraceJournal,
-    /// Progress channel shared with the run's driver; rung transitions
-    /// update its rung gauge (disabled by default).
-    pub(crate) progress: crate::observe::ProgressTracker,
+    /// The run driver's observer: rung transitions and (through
+    /// [`solve_zone_mosp`]) zone solves land in its registry and journal,
+    /// and rung transitions update its progress rung gauge.
+    pub(crate) obs: Observer,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -161,7 +130,7 @@ struct LadderState {
 }
 
 impl MospLadder {
-    pub(crate) fn new(config: &WaveMinConfig, budget: Budget, registry: MetricsRegistry) -> Self {
+    pub(crate) fn new(config: &WaveMinConfig, budget: Budget, obs: Observer) -> Self {
         let cap = config.label_cap.max(1);
         let base_eps = match config.solver {
             SolverKind::Warburton { epsilon } => epsilon,
@@ -206,9 +175,7 @@ impl MospLadder {
             }),
             last_rung: AtomicUsize::new(0),
             fault_plan: config.fault_plan,
-            registry,
-            journal: TraceJournal::disabled(),
-            progress: crate::observe::ProgressTracker::disabled(),
+            obs,
         }
     }
 
@@ -224,8 +191,8 @@ impl MospLadder {
                 let rung = self.last_rung.load(Ordering::Relaxed);
                 g.rung = rung;
                 self.state.clear_poison();
-                if self.journal.is_enabled() {
-                    self.journal.handle().ladder_restored(rung);
+                if self.obs.trace.is_enabled() {
+                    self.obs.trace.handle().ladder_restored(rung);
                 }
                 g
             }
@@ -234,7 +201,7 @@ impl MospLadder {
 
     /// A ladder that never descends (no limits set) and records nothing.
     pub(crate) fn unbudgeted(config: &WaveMinConfig) -> Self {
-        Self::new(config, Budget::unlimited(), MetricsRegistry::disabled())
+        Self::new(config, Budget::unlimited(), Observer::default())
     }
 
     /// The rung the ladder currently sits on (0 = full fidelity).
@@ -301,10 +268,10 @@ impl MospLadder {
         let to = self.rungs[st.rung + 1];
         st.rung += 1;
         self.last_rung.store(st.rung, Ordering::Relaxed);
-        self.registry.record_rung_transition();
-        self.progress.set_rung(st.rung);
-        if self.journal.is_enabled() {
-            self.journal.handle().rung_transition(st.rung);
+        self.obs.registry.record_rung_transition();
+        self.obs.progress.set_rung(st.rung);
+        if self.obs.trace.is_enabled() {
+            self.obs.trace.handle().rung_transition(st.rung);
         }
         match (from.solver, to.solver) {
             (_, SolverKind::Exact { .. }) => {
@@ -341,10 +308,10 @@ impl MospLadder {
             st.rung = last;
             self.last_rung.store(last, Ordering::Relaxed);
             st.steps.push(DegradationStep::GreedyFallback { reason });
-            self.registry.record_rung_transition();
-            self.progress.set_rung(last);
-            if self.journal.is_enabled() {
-                self.journal.handle().rung_transition(last);
+            self.obs.registry.record_rung_transition();
+            self.obs.progress.set_rung(last);
+            if self.obs.trace.is_enabled() {
+                self.obs.trace.handle().rung_transition(last);
             }
         }
     }
@@ -376,15 +343,15 @@ impl MospLadder {
         self.state()
             .steps
             .push(DegradationStep::ZoneFaultContained { zone });
-        if self.journal.is_enabled() {
-            self.journal.handle().zone_fault(zone);
+        if self.obs.trace.is_enabled() {
+            self.obs.trace.handle().zone_fault(zone);
         }
     }
 
     /// Emits the salvage trace instant for a recovered zone.
     pub(crate) fn note_zone_salvaged(&self, zone: usize) {
-        if self.journal.is_enabled() {
-            self.journal.handle().zone_salvaged(zone);
+        if self.obs.trace.is_enabled() {
+            self.obs.trace.handle().zone_salvaged(zone);
         }
     }
 
@@ -420,19 +387,6 @@ impl MospLadder {
             budget: self.budget.clone(),
         };
         Ok(solve::solve(graph, src, dest, &spec, None)?)
-    }
-
-    /// Attaches an event journal (disabled by default).
-    pub(crate) fn with_journal(mut self, journal: TraceJournal) -> Self {
-        self.journal = journal;
-        self
-    }
-
-    /// Attaches a progress channel (disabled by default); rung
-    /// transitions feed its rung gauge.
-    pub(crate) fn with_progress(mut self, progress: crate::observe::ProgressTracker) -> Self {
-        self.progress = progress;
-        self
     }
 
     fn solve_zone_input(
@@ -562,8 +516,12 @@ pub(crate) fn solve_zone_mosp(
         graph.add_arc_slice(u, dest, background)?;
     }
 
-    let started = ladder.registry.is_enabled().then(std::time::Instant::now);
-    let mut handle = ladder.journal.handle();
+    let started = ladder
+        .obs
+        .registry
+        .is_enabled()
+        .then(std::time::Instant::now);
+    let mut handle = ladder.obs.trace.handle();
     let zone_start = handle.now_ns();
     let (set, rung_used) = if salvage {
         // The salvage retry always runs the greedy rung, injection-free,
@@ -588,11 +546,11 @@ pub(crate) fn solve_zone_mosp(
     } else {
         ladder.solve_observed(&graph, src, dest, None)?
     };
-    ladder.registry.record_zone_rung(zone_id, rung_used);
+    ladder.obs.registry.record_zone_rung(zone_id, rung_used);
     handle.zone_span(zone_start, zone_id, set.stats(), set.exhaustion().is_some());
     drop(handle);
     if let Some(started) = started {
-        ladder.registry.record_zone_solve(
+        ladder.obs.registry.record_zone_solve(
             zone_id,
             &ZoneSolveRecord {
                 stats: *set.stats(),

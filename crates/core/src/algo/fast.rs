@@ -4,8 +4,7 @@ use crate::algo::{optimize_single_mode, Outcome, ZoneInput, ZoneSolution, ZoneSo
 use crate::config::WaveMinConfig;
 use crate::design::Design;
 use crate::error::WaveMinError;
-use crate::observe::{MetricsRegistry, ProgressTracker, ZoneSolveRecord};
-use crate::trace::TraceJournal;
+use crate::observe::{MetricsRegistry, Observer, ZoneSolveRecord};
 use wavemin_cells::units::Picoseconds;
 use wavemin_mosp::SolveStats;
 
@@ -49,15 +48,9 @@ impl ClkWaveMinFast {
     ///
     /// Same contract as [`crate::algo::ClkWaveMin::run`].
     pub fn run(&self, design: &Design) -> Result<Outcome, WaveMinError> {
-        let registry = MetricsRegistry::from_config(&self.config);
-        optimize_single_mode(
-            design,
-            &self.config,
-            &GreedyZoneSolver::new(registry.clone()),
-            &registry,
-            &TraceJournal::disabled(),
-            &ProgressTracker::disabled(),
-        )
+        let obs = Observer::from_config(&self.config);
+        let solver = GreedyZoneSolver::new(obs.registry.clone());
+        optimize_single_mode(design, &self.config, &solver, &obs)
     }
 }
 
@@ -160,12 +153,7 @@ fn greedy_vs_mosp_zone_cost(
 ) -> Result<(f64, f64), WaveMinError> {
     use crate::algo::clkwavemin::MospLadder;
     let greedy = GreedyZoneSolver::new(MetricsRegistry::disabled()).solve_zone(zone)?;
-    let mosp = MospLadder::new(
-        config,
-        wavemin_mosp::Budget::unlimited(),
-        MetricsRegistry::disabled(),
-    )
-    .solve_zone(zone)?;
+    let mosp = MospLadder::unbudgeted(config).solve_zone(zone)?;
     Ok((greedy.cost, mosp.cost))
 }
 

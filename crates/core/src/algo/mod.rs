@@ -49,11 +49,9 @@ use crate::eval::NoiseEvaluator;
 use crate::intervals::IntervalSet;
 use crate::multimode::FeasibleIntersection;
 use crate::noise_table::{BackgroundAccumulator, NoiseTable};
-use crate::observe::{
-    MetricsRegistry, PeakAttribution, ProgressTracker, ReportContext, RunReport, Stage,
-};
+use crate::observe::{MetricsRegistry, Observer, PeakAttribution, ReportContext, RunReport, Stage};
 use crate::sampling::SamplePlan;
-use crate::trace::TraceJournal;
+use crate::trace::TraceEventKind;
 use clkwavemin::MospLadder;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -735,21 +733,16 @@ impl PreparedRun {
 pub(crate) fn characterize_design(
     design: &Design,
     config: &WaveMinConfig,
-    registry: &MetricsRegistry,
-    journal: &TraceJournal,
+    obs: &Observer,
 ) -> Result<PreparedRun, WaveMinError> {
-    let mut thandle = journal.handle();
-    let char_start = thandle.now_ns();
     let table = {
-        let _span = registry.span(Stage::Characterization);
+        let _stage = obs.stage(Stage::Characterization);
         NoiseTable::build(design, config, 0)?
     };
-    thandle.stage_span(char_start, "characterization");
     // Optimize against a slightly tightened window: Observation 4 ignores
     // sibling-load feedback during assignment, so headroom is reserved and
     // the exact bound is checked afterwards.
-    let zoning_span = registry.span(Stage::Zoning);
-    let zoning_start = thandle.now_ns();
+    let zoning = obs.stage(Stage::Zoning);
     let kappa_eff = config.skew_bound * config.window_margin;
     let intervals = IntervalSet::generate(&table, kappa_eff, config.max_intervals);
     if intervals.is_empty() {
@@ -760,16 +753,15 @@ pub(crate) fn characterize_design(
         config,
         vec![table],
         config.streaming_enabled(),
-        registry,
+        &obs.registry,
     )?;
     prep.windows = intervals
         .into_intervals()
         .into_iter()
         .map(FeasibleIntersection::from)
         .collect();
-    thandle.stage_span(zoning_start, "zoning");
-    drop(zoning_span);
-    registry.sample_rss();
+    drop(zoning);
+    obs.registry.sample_rss();
     Ok(prep)
 }
 
@@ -818,13 +810,11 @@ pub(crate) fn optimize_single_mode<S: ZoneSolver>(
     design: &Design,
     config: &WaveMinConfig,
     solver: &S,
-    registry: &MetricsRegistry,
-    journal: &TraceJournal,
-    progress: &ProgressTracker,
+    obs: &Observer,
 ) -> Result<Outcome, WaveMinError> {
     config.validate()?;
     design.validate()?;
-    let prep = characterize_design(design, config, registry, journal)?;
+    let prep = characterize_design(design, config, obs)?;
     // Keys chain through every predecessor zone's content and solution,
     // so a journal hit is reusable bit-for-bit (see `crate::checkpoint`).
     let checkpoint = match &config.checkpoint_path {
@@ -839,10 +829,8 @@ pub(crate) fn optimize_single_mode<S: ZoneSolver>(
     let store = checkpoint
         .as_ref()
         .map(|(j, seed)| (j as &dyn ZoneStore, *seed));
-    let mut out = solve_prepared(
-        design, config, &prep, solver, registry, journal, store, progress,
-    )?;
-    finish_run(Some(design), config, registry, solver, &mut out)?;
+    let mut out = solve_prepared(design, config, &prep, solver, obs, store)?;
+    finish_run(Some(design), config, obs, solver, &mut out)?;
     Ok(out)
 }
 
@@ -858,23 +846,19 @@ pub(crate) fn optimize_single_mode<S: ZoneSolver>(
 /// [`crate::checkpoint::config_fingerprint`]), zones whose chain key hits
 /// are spliced bit-for-bit and counted as `zones_reused`.
 ///
-/// Setting the `WAVEMIN_DEBUG` environment variable prints each ranked
-/// candidate's exact re-validated skew to stderr (a diagnosis aid for
+/// Each ranked candidate's exact re-validated skew lands in the observer's
+/// event journal as a `candidate` instant (a diagnosis aid for
 /// window-margin tuning).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_prepared<S: ZoneSolver>(
     design: &Design,
     config: &WaveMinConfig,
     prep: &PreparedRun,
     solver: &S,
-    registry: &MetricsRegistry,
-    journal: &TraceJournal,
+    obs: &Observer,
     store: Option<(&dyn ZoneStore, u64)>,
-    progress: &ProgressTracker,
 ) -> Result<Outcome, WaveMinError> {
-    let mut thandle = journal.handle();
     let start = std::time::Instant::now();
-    let (solved, faulted_zones) = solve_windows(config, prep, solver, registry, store, progress);
+    let (solved, faulted_zones) = solve_windows(config, prep, solver, obs, store);
     let mut ranked: Vec<(f64, Assignment)> = Vec::new();
     let mut fault: Option<WaveMinError> = None;
     for result in solved {
@@ -902,18 +886,21 @@ pub(crate) fn solve_prepared<S: ZoneSolver>(
     // Validate with exact timing (Observation 4 ignores sibling-load
     // feedback, so re-check against the true bound); fall back to the
     // next-best window, then to the identity assignment.
-    let _validation_span = registry.span(Stage::Validation);
-    let validation_start = thandle.now_ns();
+    let mut validation = obs.stage(Stage::Validation);
     let mut best_skew: Option<Picoseconds> = None;
     let mut chosen: Option<Outcome> = None;
-    for (cost, assignment) in &ranked {
+    for (rank, (cost, assignment)) in ranked.iter().enumerate() {
         let mut candidate = design.clone();
         assignment.apply_to(&mut candidate);
         let skew = candidate.max_skew()?;
-        if std::env::var_os("WAVEMIN_DEBUG").is_some() {
-            eprintln!("candidate cost {cost:.1} -> exact skew {skew}");
-        }
-        if skew.value() <= config.skew_bound.value() + 1e-9 {
+        let accepted = skew.value() <= config.skew_bound.value() + 1e-9;
+        validation.instant(TraceEventKind::Candidate {
+            rank,
+            cost: *cost,
+            skew_ps: skew.value(),
+            accepted,
+        });
+        if accepted {
             chosen = Some(finish_outcome(
                 design,
                 &candidate,
@@ -952,8 +939,8 @@ pub(crate) fn solve_prepared<S: ZoneSolver>(
     };
     out.degenerate_zones = prep.degenerate_zones;
     out.faulted_zones = faulted_zones;
-    thandle.stage_span(validation_start, "validation");
-    registry.sample_rss();
+    drop(validation);
+    obs.registry.sample_rss();
     Ok(out)
 }
 
@@ -970,17 +957,17 @@ pub(crate) fn solve_windows<S: ZoneSolver>(
     config: &WaveMinConfig,
     prep: &PreparedRun,
     solver: &S,
-    registry: &MetricsRegistry,
+    obs: &Observer,
     store: Option<(&dyn ZoneStore, u64)>,
-    progress: &ProgressTracker,
 ) -> (Vec<WindowResult>, Vec<usize>) {
     let modes = prep.tables.len();
+    let registry = &obs.registry;
     registry.sample_rss();
     // Progress ticker for the whole solve (observation only — it never
     // feeds back into solver state, keeping enabled ≡ disabled runs
     // bit-identical). Each tick also folds an RSS sample into the peak
     // gauge so transient spikes between phase checkpoints are seen.
-    let _progress_guard = progress.begin(
+    let _progress_guard = obs.progress.begin(
         (prep.windows.len() * prep.zone_order.len()) as u64,
         registry,
     );
@@ -1102,7 +1089,7 @@ pub(crate) fn solve_windows<S: ZoneSolver>(
             if let Some(c) = chain.as_mut() {
                 c.absorb(prep.zone_hashes[zi], sol.cost.to_bits(), &sol.choices);
             }
-            progress.zone_done();
+            obs.progress.zone_done();
             cost = cost.max(sol.cost);
             for (local, choices) in sol.choices.chunks(modes).enumerate() {
                 let opt = choices[0].0;
@@ -1149,7 +1136,7 @@ pub(crate) fn solve_windows<S: ZoneSolver>(
 pub(crate) fn finish_run<S: ZoneSolver>(
     design: Option<&Design>,
     config: &WaveMinConfig,
-    registry: &MetricsRegistry,
+    obs: &Observer,
     solver: &S,
     out: &mut Outcome,
 ) -> Result<(), WaveMinError> {
@@ -1168,7 +1155,7 @@ pub(crate) fn finish_run<S: ZoneSolver>(
         out.faulted_zones.sort_unstable();
         out.faulted_zones.dedup();
     }
-    out.report = registry.report(&ReportContext {
+    out.report = obs.registry.report(&ReportContext {
         threads: config.effective_threads(),
         degenerate_zones: out.degenerate_zones,
         ladder_rung: ladder.map_or(0, MospLadder::current_rung),

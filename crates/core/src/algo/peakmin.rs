@@ -12,8 +12,7 @@ use crate::algo::{optimize_single_mode, Outcome, ZoneInput, ZoneSolution, ZoneSo
 use crate::config::WaveMinConfig;
 use crate::design::Design;
 use crate::error::WaveMinError;
-use crate::observe::{MetricsRegistry, ProgressTracker, ZoneSolveRecord};
-use crate::trace::TraceJournal;
+use crate::observe::{MetricsRegistry, Observer, ZoneSolveRecord};
 use std::collections::BTreeMap;
 use wavemin_cells::units::Picoseconds;
 use wavemin_cells::Polarity;
@@ -50,18 +49,11 @@ impl ClkPeakMin {
     ///
     /// Same contract as [`crate::algo::ClkWaveMin::run`].
     pub fn run(&self, design: &Design) -> Result<Outcome, WaveMinError> {
-        let registry = MetricsRegistry::from_config(&self.config);
+        let obs = Observer::from_config(&self.config);
         let solver = BalanceZoneSolver {
-            registry: registry.clone(),
+            registry: obs.registry.clone(),
         };
-        optimize_single_mode(
-            design,
-            &self.config,
-            &solver,
-            &registry,
-            &TraceJournal::disabled(),
-            &ProgressTracker::disabled(),
-        )
+        optimize_single_mode(design, &self.config, &solver, &obs)
     }
 }
 

@@ -625,11 +625,10 @@ fn optimize(flags: &Flags) -> Result<(), CliError> {
     }
     let algorithm = flags.get("algorithm").unwrap_or("wavemin");
     let trace_out = flags.get("trace-out");
-    let journal = if trace_out.is_some() {
-        TraceJournal::enabled()
-    } else {
-        TraceJournal::disabled()
-    };
+    let mut obs = Observer::from_config(&config);
+    if trace_out.is_some() {
+        obs.trace = TraceJournal::enabled();
+    }
     if config.checkpoint_path.is_some() && algorithm != "wavemin" {
         eprintln!(
             "note: --checkpoint/--resume: only the 'wavemin' algorithm journals zone results"
@@ -649,14 +648,12 @@ fn optimize(flags: &Flags) -> Result<(), CliError> {
             "--shard-sinks only applies to the 'wavemin' algorithm",
         ));
     }
-    let progress = if flags.has("progress") {
+    if flags.has("progress") {
         if algorithm != "wavemin" || shard_sinks.is_some() {
             eprintln!("note: --progress only ticks for the unsharded 'wavemin' algorithm");
         }
-        stderr_progress_ticker()
-    } else {
-        ProgressTracker::disabled()
-    };
+        obs.progress = stderr_progress_ticker();
+    }
     let outcome = match (algorithm, shard_sinks) {
         ("wavemin", Some(max_sinks)) => {
             wavemin::shardrun::optimize_sharded(&design, &config, max_sinks).map(|sharded| {
@@ -681,9 +678,7 @@ fn optimize(flags: &Flags) -> Result<(), CliError> {
             })
         }
         _ => match algorithm {
-            "wavemin" => ClkWaveMin::new(config)
-                .with_progress(progress)
-                .run_traced(&design, &journal),
+            "wavemin" => ClkWaveMin::new(config).run_observed(&design, &obs),
             "fast" => ClkWaveMinFast::new(config).run(&design),
             "peakmin" => ClkPeakMin::new(config).run(&design),
             "nieh" => NiehOppositePhase::new().run(&design),
@@ -768,11 +763,12 @@ fn optimize(flags: &Flags) -> Result<(), CliError> {
         if algorithm != "wavemin" {
             eprintln!("note: --trace-out: only the 'wavemin' algorithm emits solver events");
         }
-        let json = journal
+        let json = obs
+            .trace
             .chrome_trace()
             .ok_or_else(|| CliError::from("trace journal was not enabled".to_owned()))?;
         std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
-        let dropped = journal.dropped_events();
+        let dropped = obs.trace.dropped_events();
         if dropped > 0 {
             eprintln!("note: trace journal dropped {dropped} events to its capacity cap");
         }
@@ -825,9 +821,10 @@ fn report_cmd(flags: &Flags) -> Result<(), CliError> {
     let design = load_design(flags)?;
     let mut config = build_config(flags)?;
     config.collect_metrics = true;
-    let journal = TraceJournal::enabled();
+    let mut obs = Observer::from_config(&config);
+    obs.trace = TraceJournal::enabled();
     let outcome = ClkWaveMin::new(config)
-        .run_traced(&design, &journal)
+        .run_observed(&design, &obs)
         .map_err(|e| CliError::from(&e))?;
     let report = outcome
         .report
@@ -846,7 +843,7 @@ fn report_cmd(flags: &Flags) -> Result<(), CliError> {
         &optimized.lib,
         &wavemin_clocktree::svg::SvgOptions::default(),
     );
-    let trace_json = journal.chrome_trace();
+    let trace_json = obs.trace.chrome_trace();
     let title = flags
         .get("title")
         .map(str::to_owned)

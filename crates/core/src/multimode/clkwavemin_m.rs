@@ -11,8 +11,7 @@ use crate::error::WaveMinError;
 use crate::multimode::adb::insert_adbs;
 use crate::multimode::intersect::IntersectionSet;
 use crate::noise_table::NoiseTable;
-use crate::observe::{MetricsRegistry, ProgressTracker, Stage};
-use crate::trace::TraceJournal;
+use crate::observe::{Observer, Stage};
 
 /// The multi-power-mode optimizer.
 ///
@@ -69,14 +68,14 @@ impl ClkWaveMinM {
         design.validate()?;
         // One solver (one ladder, one shared deadline) governs the whole
         // flow, so escalations persist across the margin retries below —
-        // and one registry keeps accumulating across them (zone ids are
+        // and one observer keeps accumulating across them (zone ids are
         // stable between retries).
-        let registry = MetricsRegistry::from_config(&self.config);
-        let solver = MospLadder::new(&self.config, self.config.budget(), registry.clone());
+        let obs = Observer::from_config(&self.config);
+        let solver = MospLadder::new(&self.config, self.config.budget(), obs);
         let mut outcome = self.run_phases(design, &solver)?;
         // The outcome's assignment may apply to an ADB-embedded clone, so
         // no peak attribution is computed against `design`.
-        finish_run(None, &self.config, &registry, &solver, &mut outcome)?;
+        finish_run(None, &self.config, &solver.obs, &solver, &mut outcome)?;
         Ok(outcome)
     }
 
@@ -87,14 +86,13 @@ impl ClkWaveMinM {
         // tightened progressively until the exact skew check passes.
         let wm = self.config.window_margin;
         let margins = [wm, (wm - 0.15).max(0.3), (wm - 0.3).max(0.25)];
-        let registry = &solver.registry;
 
         // Phase 1: polarity assignment + sizing alone. The margin only
         // tightens the intersection windows, never the characterization,
         // so the per-mode noise tables and zones are built once and
         // shared across all margin retries — the session philosophy
         // applied inside one run.
-        let mut prep = self.prepare(design, registry)?;
+        let mut prep = self.prepare(design, &solver.obs)?;
         for &margin in &margins {
             match self.optimize(design, &mut prep, margin, solver) {
                 Ok(outcome) => return Ok(outcome),
@@ -114,7 +112,7 @@ impl ClkWaveMinM {
                 last_err = e;
                 continue;
             }
-            let mut embedded_prep = self.prepare(&embedded, registry)?;
+            let mut embedded_prep = self.prepare(&embedded, &solver.obs)?;
             match self.optimize(&embedded, &mut embedded_prep, margin, solver) {
                 Ok(outcome) => return Ok(outcome),
                 Err(WaveMinError::NoFeasibleInterval) => {
@@ -150,17 +148,9 @@ impl ClkWaveMinM {
     pub fn intersection_costs(&self, design: &Design) -> Result<Vec<(usize, f64)>, WaveMinError> {
         // (figure helper keeps the configured margin and has no budget)
         let solver = MospLadder::unbudgeted(&self.config);
-        let registry = &solver.registry;
-        let mut prep = self.prepare(design, registry)?;
+        let mut prep = self.prepare(design, &solver.obs)?;
         prep.windows = self.intersections(design, &prep, self.config.window_margin)?;
-        let (solved, _) = solve_windows(
-            &self.config,
-            &prep,
-            &solver,
-            registry,
-            None,
-            &ProgressTracker::disabled(),
-        );
+        let (solved, _) = solve_windows(&self.config, &prep, &solver, &solver.obs, None);
         let mut out = Vec::new();
         for (window, result) in prep.windows.iter().zip(solved) {
             if let Some((cost, _)) = result? {
@@ -173,22 +163,18 @@ impl ClkWaveMinM {
     /// Characterizes every mode (fanned out over the worker pool) and
     /// partitions the zones, with no windows yet: the margin retries
     /// supply those.
-    fn prepare(
-        &self,
-        design: &Design,
-        registry: &MetricsRegistry,
-    ) -> Result<PreparedRun, WaveMinError> {
+    fn prepare(&self, design: &Design, obs: &Observer) -> Result<PreparedRun, WaveMinError> {
         let mode_ids: Vec<usize> = (0..design.mode_count()).collect();
         let tables: Vec<NoiseTable> = {
-            let _span = registry.span(Stage::Characterization);
+            let _stage = obs.stage(Stage::Characterization);
             crate::parallel::map_ordered(&mode_ids, self.config.effective_threads(), |_, &m| {
                 NoiseTable::build(design, &self.config, m)
             })
             .into_iter()
             .collect::<Result<_, _>>()?
         };
-        let _span = registry.span(Stage::Zoning);
-        let mut prep = PreparedRun::partition(design, &self.config, tables, false, registry)?;
+        let _stage = obs.stage(Stage::Zoning);
+        let mut prep = PreparedRun::partition(design, &self.config, tables, false, &obs.registry)?;
         // A window that fails exact validation goes back to the margin
         // loop instead of ending the run on the identity.
         prep.identity_fallback = false;
@@ -223,16 +209,7 @@ impl ClkWaveMinM {
         solver: &MospLadder,
     ) -> Result<Outcome, WaveMinError> {
         prep.windows = self.intersections(design, prep, margin)?;
-        solve_prepared(
-            design,
-            &self.config,
-            prep,
-            solver,
-            &solver.registry,
-            &TraceJournal::disabled(),
-            None,
-            &ProgressTracker::disabled(),
-        )
+        solve_prepared(design, &self.config, prep, solver, &solver.obs, None)
     }
 }
 

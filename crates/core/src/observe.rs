@@ -1,5 +1,6 @@
 //! Observability: pipeline stage spans, a lock-free solver metrics
-//! registry, and the machine-readable [`RunReport`].
+//! registry, the machine-readable [`RunReport`], and the [`Observer`]
+//! handle that carries every sink through the engine as one value.
 //!
 //! The registry is an `Option<Arc<_>>`: a disabled registry carries no
 //! allocation and every recording call is a single branch on `None`, so
@@ -10,6 +11,12 @@
 //! because every counter is a commutative sum, the aggregates are
 //! identical for any worker count on an unbudgeted run.
 //!
+//! An [`Observer`] bundles the registry with the event journal
+//! ([`TraceJournal`]) and the progress channel ([`ProgressTracker`]);
+//! each keeps its own `Option<Arc<_>>`, so a disabled observer still
+//! costs one branch per hook. [`Observer::stage`] opens one guard that
+//! times a stage into both the registry and the journal.
+//!
 //! Span hierarchy (one [`Stage`] per pipeline phase):
 //!
 //! ```text
@@ -18,10 +25,10 @@
 //! ├── zoning                feasible intervals/intersections + ZoneProblem
 //! ├── zone_solve            one span per zone × interval MOSP solve
 //! ├── intersection          one span per multi-mode intersection solve
-//! ├── validation            exact skew re-check of ranked candidates
-//! └── monte_carlo           process-variation study
+//! └── validation            exact skew re-check of ranked candidates
 //! ```
 
+use crate::trace::{TraceEventKind, TraceHandle, TraceJournal};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
@@ -41,12 +48,10 @@ pub enum Stage {
     Intersection,
     /// Exact skew re-validation of the ranked candidates.
     Validation,
-    /// Monte-Carlo process-variation study.
-    MonteCarlo,
 }
 
 impl Stage {
-    const COUNT: usize = 6;
+    const COUNT: usize = 5;
 
     const ALL: [Stage; Stage::COUNT] = [
         Stage::Characterization,
@@ -54,7 +59,6 @@ impl Stage {
         Stage::ZoneSolve,
         Stage::Intersection,
         Stage::Validation,
-        Stage::MonteCarlo,
     ];
 
     /// The stage's stable snake_case name (the key used in reports).
@@ -66,7 +70,6 @@ impl Stage {
             Stage::ZoneSolve => "zone_solve",
             Stage::Intersection => "intersection",
             Stage::Validation => "validation",
-            Stage::MonteCarlo => "monte_carlo",
         }
     }
 
@@ -77,7 +80,6 @@ impl Stage {
             Stage::ZoneSolve => 2,
             Stage::Intersection => 3,
             Stage::Validation => 4,
-            Stage::MonteCarlo => 5,
         }
     }
 }
@@ -305,17 +307,6 @@ impl MetricsRegistry {
                 hists: Hists::default(),
                 zones: RwLock::new(Vec::new()),
             })),
-        }
-    }
-
-    /// Builds the registry a run should use: collecting iff the config
-    /// asks for metrics or span tracing.
-    #[must_use]
-    pub fn from_config(config: &crate::config::WaveMinConfig) -> Self {
-        if config.collect_metrics || config.trace_spans {
-            Self::enabled(config.trace_spans)
-        } else {
-            Self::disabled()
         }
     }
 
@@ -856,6 +847,79 @@ impl Drop for ProgressGuard {
         }
         st.registry.sample_rss();
         st.inner.emit(st.started, true);
+    }
+}
+
+/// The run's observability handle: the metrics registry, the event
+/// journal and the progress channel, threaded through the engine as one
+/// value. Cheap to clone (three `Option<Arc<_>>`s); the default observer
+/// records nothing.
+///
+/// The metrics sink is set only by [`Observer::from_config`], so
+/// [`crate::config::WaveMinConfig::collect_metrics`] and
+/// [`crate::config::WaveMinConfig::trace_spans`] stay the one switch for
+/// metrics; callers attach a journal or a progress channel by setting
+/// [`Observer::trace`] and [`Observer::progress`]. Every sink is strictly
+/// an observer, so runs with and without them are bit-identical.
+#[derive(Debug, Clone, Default)]
+pub struct Observer {
+    /// The metrics registry (collecting iff the config asks for it).
+    pub(crate) registry: MetricsRegistry,
+    /// The event journal (disabled by default).
+    pub trace: TraceJournal,
+    /// The progress channel (disabled by default).
+    pub progress: ProgressTracker,
+}
+
+impl Observer {
+    /// The observer a run under `config` should use: its registry
+    /// collects iff the config asks for metrics or span tracing; the
+    /// journal and progress channel start disabled.
+    #[must_use]
+    pub fn from_config(config: &crate::config::WaveMinConfig) -> Self {
+        let registry = if config.collect_metrics || config.trace_spans {
+            MetricsRegistry::enabled(config.trace_spans)
+        } else {
+            MetricsRegistry::disabled()
+        };
+        Self {
+            registry,
+            ..Self::default()
+        }
+    }
+
+    /// Opens `stage`: the guard records the registry's stage span and the
+    /// journal's `Stage` span, both under [`Stage::name`], when dropped.
+    #[must_use]
+    pub fn stage(&self, stage: Stage) -> StageGuard {
+        let trace = self.trace.handle();
+        StageGuard {
+            start_ns: trace.now_ns(),
+            trace,
+            stage,
+            _span: self.registry.span(stage),
+        }
+    }
+}
+
+/// Live guard of a stage opened by [`Observer::stage`].
+pub struct StageGuard {
+    start_ns: u64,
+    trace: TraceHandle,
+    stage: Stage,
+    _span: SpanGuard,
+}
+
+impl StageGuard {
+    /// Records a journal instant on the stage's track.
+    pub fn instant(&mut self, kind: TraceEventKind) {
+        self.trace.instant(kind);
+    }
+}
+
+impl Drop for StageGuard {
+    fn drop(&mut self) {
+        self.trace.stage_span(self.start_ns, self.stage.name());
     }
 }
 
@@ -1830,6 +1894,7 @@ mod decode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::WaveMinConfig;
     use std::time::Duration;
 
     fn sample_record(labels: u64) -> ZoneSolveRecord {
@@ -1905,9 +1970,39 @@ mod tests {
         assert_eq!(t.count, 2);
         assert!(t.total_ns >= 2_000_000, "slept 2 ms, got {} ns", t.total_ns);
         assert!(
-            !report.stages.iter().any(|s| s.stage == "monte_carlo"),
+            !report.stages.iter().any(|s| s.stage == "validation"),
             "unused stages are omitted"
         );
+    }
+
+    #[test]
+    fn observer_stage_lands_in_report_and_journal_under_one_name() {
+        let mut obs = Observer::from_config(&WaveMinConfig::default().with_metrics(true));
+        obs.trace = TraceJournal::enabled();
+        {
+            let mut stage = obs.stage(Stage::Zoning);
+            stage.instant(TraceEventKind::RungTransition { rung: 1 });
+        }
+        let report = obs
+            .registry
+            .report(&ReportContext::default())
+            .expect("enabled");
+        let stages: Vec<&str> = report.stages.iter().map(|s| s.stage.as_str()).collect();
+        assert_eq!(stages, ["zoning"]);
+        let merged = obs.trace.merged().expect("enabled journal");
+        let mut names: Vec<&str> = merged.events.iter().map(|(_, e)| e.kind.name()).collect();
+        names.sort_unstable();
+        assert_eq!(names, ["rung_transition", "zoning"]);
+        assert!(merged
+            .events
+            .iter()
+            .any(|(_, e)| matches!(e.kind, TraceEventKind::Stage { name: "zoning" })));
+
+        let quiet = Observer::from_config(&WaveMinConfig::default());
+        drop(quiet.stage(Stage::Validation));
+        assert!(quiet.registry.report(&ReportContext::default()).is_none());
+        assert!(quiet.trace.merged().is_none());
+        assert!(!quiet.progress.is_enabled());
     }
 
     #[test]
@@ -1989,6 +2084,19 @@ mod tests {
         let back = RunReport::from_json(&stamped).expect("kernel-stamped report decodes");
         assert_eq!(back, report);
         back.validate().expect("kernel-stamped report validates");
+
+        // Older builds could also carry a `monte_carlo` stage; the stage
+        // list is free-form, so such a report decodes as written.
+        let mut studied = report.clone();
+        studied.stages.push(StageTiming {
+            stage: "monte_carlo".to_owned(),
+            count: 1,
+            total_ns: 5_000,
+        });
+        let json = serde_json::to_string(&studied).expect("serialize");
+        let back = RunReport::from_json(&json).expect("monte_carlo report decodes");
+        assert_eq!(back, studied);
+        back.validate().expect("monte_carlo report validates");
     }
 
     #[test]

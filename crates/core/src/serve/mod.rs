@@ -407,24 +407,21 @@ fn execute_solve(
         let g = entry.chr.read().unwrap_or_else(PoisonError::into_inner);
         Arc::clone(&g)
     };
-    let progress = if req.progress {
+    let mut opts = SolveOptions {
+        time_budget_ms: req.time_budget_ms,
+        collect_metrics: true,
+        ..SolveOptions::default()
+    };
+    if req.progress {
         // `mpsc::Sender` is `Send` but not `Sync`; the sink closure must
         // be `Sync`, so the clone rides behind a mutex.
         let tx = Mutex::new(reply.clone());
-        ProgressTracker::enabled(Duration::from_millis(250), move |p: &Progress| {
-            let guard = tx.lock().unwrap_or_else(PoisonError::into_inner);
-            let _ = guard.send(JobMsg::Progress(progress_line(p)));
-        })
-    } else {
-        ProgressTracker::disabled()
-    };
-    let opts = SolveOptions {
-        time_budget_ms: req.time_budget_ms,
-        threads: None,
-        collect_metrics: true,
-        trace_spans: false,
-        progress,
-    };
+        opts.progress =
+            ProgressTracker::enabled(Duration::from_millis(250), move |p: &Progress| {
+                let guard = tx.lock().unwrap_or_else(PoisonError::into_inner);
+                let _ = guard.send(JobMsg::Progress(progress_line(p)));
+            });
+    }
     match chr.solve_cached(&entry.cache, &opts) {
         Ok(out) => {
             if let Some(report) = out.report.as_ref() {

@@ -19,8 +19,7 @@ use crate::checkpoint::{config_fingerprint, ZoneCache, ZoneStore};
 use crate::config::WaveMinConfig;
 use crate::design::Design;
 use crate::error::WaveMinError;
-use crate::observe::MetricsRegistry;
-use crate::trace::TraceJournal;
+use crate::observe::Observer;
 use wavemin_clocktree::NodeId;
 
 /// Per-job knobs a session solve may vary without re-characterizing.
@@ -42,8 +41,6 @@ pub struct SolveOptions {
     pub threads: Option<usize>,
     /// Collect a [`crate::observe::RunReport`] for this job.
     pub collect_metrics: bool,
-    /// Record event-journal spans for this job.
-    pub trace_spans: bool,
     /// Progress channel for this job (disabled by default). Observation
     /// only — an enabled tracker never changes solve results.
     pub progress: crate::observe::ProgressTracker,
@@ -72,12 +69,7 @@ impl CharacterizedDesign {
     pub fn new(design: Design, config: WaveMinConfig) -> Result<Self, WaveMinError> {
         config.validate()?;
         design.validate()?;
-        let prep = characterize_design(
-            &design,
-            &config,
-            &MetricsRegistry::disabled(),
-            &TraceJournal::disabled(),
-        )?;
+        let prep = characterize_design(&design, &config, &Observer::default())?;
         Ok(Self {
             design,
             config,
@@ -136,7 +128,7 @@ impl CharacterizedDesign {
     ///
     /// Same as [`crate::prelude::ClkWaveMin::run`].
     pub fn solve(&self, opts: &SolveOptions) -> Result<Outcome, WaveMinError> {
-        self.solve_inner(None, opts, &TraceJournal::disabled())
+        self.solve_inner(None, opts)
     }
 
     /// Solves against a shared [`ZoneCache`]: zone solutions already
@@ -154,21 +146,7 @@ impl CharacterizedDesign {
         cache: &ZoneCache,
         opts: &SolveOptions,
     ) -> Result<Outcome, WaveMinError> {
-        self.solve_inner(Some(cache), opts, &TraceJournal::disabled())
-    }
-
-    /// [`Self::solve_cached`] with an event journal attached.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::solve`].
-    pub fn solve_cached_traced(
-        &self,
-        cache: &ZoneCache,
-        opts: &SolveOptions,
-        journal: &TraceJournal,
-    ) -> Result<Outcome, WaveMinError> {
-        self.solve_inner(Some(cache), opts, journal)
+        self.solve_inner(Some(cache), opts)
     }
 
     /// The effective per-job config: the session config with the job's
@@ -182,7 +160,6 @@ impl CharacterizedDesign {
             cfg.threads = opts.threads;
         }
         cfg.collect_metrics = cfg.collect_metrics || opts.collect_metrics;
-        cfg.trace_spans = cfg.trace_spans || opts.trace_spans;
         // The session never journals to disk; the cache is the store.
         cfg.checkpoint_path = None;
         cfg.resume = false;
@@ -193,14 +170,12 @@ impl CharacterizedDesign {
         &self,
         cache: Option<&ZoneCache>,
         opts: &SolveOptions,
-        journal: &TraceJournal,
     ) -> Result<Outcome, WaveMinError> {
         let config = self.job_config(opts);
-        let registry = MetricsRegistry::from_config(&config);
-        registry.ensure_zones(self.prep.zones[0].len());
-        let solver = MospLadder::new(&config, config.budget(), registry.clone())
-            .with_journal(journal.clone())
-            .with_progress(opts.progress.clone());
+        let mut obs = Observer::from_config(&config);
+        obs.progress = opts.progress.clone();
+        obs.registry.ensure_zones(self.prep.zones[0].len());
+        let solver = MospLadder::new(&config, config.budget(), obs.clone());
         // The chain seed hashes the job's semantic config (plumbing
         // normalized out), so jobs on different budgets or bounds key
         // into disjoint regions of the shared cache while identical jobs
@@ -212,17 +187,8 @@ impl CharacterizedDesign {
             Some(cache) => Some((cache as &dyn ZoneStore, config_fingerprint(&config)?)),
             None => None,
         };
-        let mut out = solve_prepared(
-            &self.design,
-            &config,
-            &self.prep,
-            &solver,
-            &registry,
-            journal,
-            store,
-            &opts.progress,
-        )?;
-        finish_run(Some(&self.design), &config, &registry, &solver, &mut out)?;
+        let mut out = solve_prepared(&self.design, &config, &self.prep, &solver, &obs, store)?;
+        finish_run(Some(&self.design), &config, &obs, &solver, &mut out)?;
         Ok(out)
     }
 }

@@ -4,7 +4,8 @@
 //! Where [`crate::observe::MetricsRegistry`] aggregates *counters*, the
 //! [`TraceJournal`] keeps *events*: spans at zone / graph-layer /
 //! label-batch granularity and instants for ladder rung changes, budget
-//! exhaustion and dominance-front evictions. The design goals mirror the
+//! exhaustion, dominance-front evictions and each ranked candidate's
+//! exact skew re-validation. The design goals mirror the
 //! registry's:
 //!
 //! * **disabled path is one branch** — a disabled journal is an
@@ -122,6 +123,19 @@ pub enum TraceEventKind {
         /// The restored rung.
         rung: usize,
     },
+    /// Instant: one ranked candidate window passed or failed exact skew
+    /// re-validation.
+    Candidate {
+        /// Position in the cost ranking (0 = cheapest).
+        rank: usize,
+        /// The window's MOSP min–max cost.
+        cost: f64,
+        /// The exact re-validated skew, picoseconds.
+        skew_ps: f64,
+        /// Whether the skew met the bound (the first accepted candidate
+        /// ends validation).
+        accepted: bool,
+    },
 }
 
 impl TraceEventKind {
@@ -139,6 +153,7 @@ impl TraceEventKind {
             Self::ZoneFault { .. } => "zone_fault",
             Self::ZoneSalvaged { .. } => "zone_salvaged",
             Self::LadderRestored { .. } => "ladder_restored",
+            Self::Candidate { .. } => "candidate",
         }
     }
 
@@ -603,6 +618,17 @@ fn event_value(track: usize, ev: &TraceEvent) -> Value {
             map(vec![("zone", Value::UInt(zone as u64))])
         }
         TraceEventKind::LadderRestored { rung } => map(vec![("rung", Value::UInt(rung as u64))]),
+        TraceEventKind::Candidate {
+            rank,
+            cost,
+            skew_ps,
+            accepted,
+        } => map(vec![
+            ("rank", Value::UInt(rank as u64)),
+            ("cost", Value::Float(cost)),
+            ("skew_ps", Value::Float(skew_ps)),
+            ("accepted", Value::Bool(accepted)),
+        ]),
     };
     let mut entries = vec![
         ("name", str_value(ev.kind.name())),

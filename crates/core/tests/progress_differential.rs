@@ -43,10 +43,10 @@ fn progress_streaming_is_bit_identical_across_thread_counts() {
         let tracker = ProgressTracker::enabled(Duration::from_millis(5), move |_p| {
             ticks_in_sink.fetch_add(1, Ordering::Relaxed);
         });
-        let with_progress = ClkWaveMin::new(small_config(threads))
-            .with_progress(tracker)
-            .run(&design)
-            .expect("progress run");
+        let algo = ClkWaveMin::new(small_config(threads));
+        let mut obs = Observer::from_config(algo.config());
+        obs.progress = tracker;
+        let with_progress = algo.run_observed(&design, &obs).expect("progress run");
         assert_outcomes_identical(&plain, &with_progress, &format!("threads={threads}"));
         assert!(
             ticks.load(Ordering::Relaxed) > 0,
@@ -72,10 +72,10 @@ fn progress_ticks_are_monotone_and_finish_with_done() {
     let tracker = ProgressTracker::enabled(Duration::from_millis(1), move |p: &Progress| {
         sink_seen.lock().expect("sink lock").push(p.clone());
     });
-    ClkWaveMin::new(small_config(2))
-        .with_progress(tracker)
-        .run(&design)
-        .expect("run");
+    let algo = ClkWaveMin::new(small_config(2));
+    let mut obs = Observer::from_config(algo.config());
+    obs.progress = tracker;
+    algo.run_observed(&design, &obs).expect("run");
     let ticks = seen.lock().expect("final lock");
     assert!(!ticks.is_empty(), "at least the final tick fires");
     let last = ticks.last().expect("nonempty");

@@ -7,6 +7,9 @@
 
 use serde::Value;
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 use wavemin::prelude::*;
 use wavemin::trace::{TraceEventKind, TraceJournal};
 
@@ -51,23 +54,43 @@ fn traced_runs_are_identical_to_untraced_runs() {
         cfg.max_intervals = Some(6);
         let algo = ClkWaveMin::new(cfg);
         let plain = algo.run(&d).expect("untraced run");
-        let journal = TraceJournal::enabled();
-        let traced = algo.run_traced(&d, &journal).expect("traced run");
-        let label = format!("threads={threads}");
-        assert_outcomes_identical(&plain, &traced, &label);
-        assert_eq!(
-            plain.report.as_ref().expect("untraced report").normalized(),
-            traced.report.as_ref().expect("traced report").normalized(),
-            "{label}: normalized reports must not depend on tracing"
+        let ticks = Arc::new(AtomicU64::new(0));
+        // The journal alone, then all three sinks live at once: journal,
+        // a 1 ms progress ticker and the metrics registry.
+        for with_progress in [false, true] {
+            let mut obs = Observer::from_config(algo.config());
+            obs.trace = TraceJournal::enabled();
+            if with_progress {
+                let sink_ticks = Arc::clone(&ticks);
+                obs.progress = ProgressTracker::enabled(Duration::from_millis(1), move |_p| {
+                    sink_ticks.fetch_add(1, Ordering::Relaxed);
+                });
+            }
+            let traced = algo.run_observed(&d, &obs).expect("traced run");
+            let label = format!("threads={threads} progress={with_progress}");
+            assert_outcomes_identical(&plain, &traced, &label);
+            assert_eq!(
+                plain.report.as_ref().expect("untraced report").normalized(),
+                traced.report.as_ref().expect("traced report").normalized(),
+                "{label}: normalized reports must not depend on tracing"
+            );
+            let merged = obs.trace.merged().expect("enabled journal");
+            let zone_spans = merged
+                .events
+                .iter()
+                .filter(|(_, e)| matches!(e.kind, TraceEventKind::ZoneSolve { .. }))
+                .count();
+            assert!(zone_spans > 0, "{label}: zone spans recorded");
+            assert_eq!(
+                obs.trace.dropped_events(),
+                0,
+                "{label}: no overflow expected"
+            );
+        }
+        assert!(
+            ticks.load(Ordering::Relaxed) > 0,
+            "threads={threads}: the progress sink must have ticked"
         );
-        let merged = journal.merged().expect("enabled journal");
-        let zone_spans = merged
-            .events
-            .iter()
-            .filter(|(_, e)| matches!(e.kind, TraceEventKind::ZoneSolve { .. }))
-            .count();
-        assert!(zone_spans > 0, "{label}: zone spans recorded");
-        assert_eq!(journal.dropped_events(), 0, "{label}: no overflow expected");
     }
 }
 
@@ -79,9 +102,10 @@ fn s15850_trace_export_and_attribution_meet_acceptance() {
         .with_metrics(true)
         .with_threads(4);
     cfg.max_intervals = Some(6);
-    let journal = TraceJournal::enabled();
+    let mut obs = Observer::from_config(&cfg);
+    obs.trace = TraceJournal::enabled();
     let out = ClkWaveMin::new(cfg)
-        .run_traced(&d, &journal)
+        .run_observed(&d, &obs)
         .expect("traced run");
 
     // The attribution decomposes the reported worst-mode peak exactly.
@@ -98,7 +122,7 @@ fn s15850_trace_export_and_attribution_meet_acceptance() {
 
     // The exported Chrome trace parses, carries zone and layer spans, and
     // is timestamp-monotonic within every (pid, tid) track.
-    let json = journal.chrome_trace().expect("chrome trace");
+    let json = obs.trace.chrome_trace().expect("chrome trace");
     let root = serde_json::from_str(&json).expect("valid trace JSON");
     let Value::Map(entries) = &root else {
         panic!("object root");

@@ -41,7 +41,7 @@ pub use samanta::SamantaBalanced;
 pub use yield_aware::{normal_quantile, YieldAwareWaveMin, YieldOutcome};
 
 use crate::assignment::Assignment;
-use crate::checkpoint::{StoreAcquire, ZoneStore};
+use crate::checkpoint::{CachedZone, StoreAcquire, ZoneCache, ZoneKeyChain, ZoneStore};
 use crate::config::{BackgroundMode, WaveMinConfig};
 use crate::design::Design;
 use crate::error::WaveMinError;
@@ -243,7 +243,8 @@ pub struct Outcome {
     /// clean run; non-empty means the assignment is valid but those zones
     /// carry no optimality claim. A sharded run lists each shard's
     /// zones (shard-local ids, like its `ZoneFaultContained` steps) in
-    /// shard order.
+    /// shard order; `ShardedOutcome::faulted_zones` pairs each with its
+    /// shard.
     #[serde(default)]
     pub faulted_zones: Vec<usize>,
 }
@@ -613,6 +614,50 @@ pub(crate) struct ZoneSolution {
     pub cost: f64,
 }
 
+impl From<CachedZone> for ZoneSolution {
+    /// A stored solution, spliced bit-for-bit.
+    fn from(hit: CachedZone) -> Self {
+        Self {
+            choices: hit.choices_ps(),
+            cost: hit.cost(),
+        }
+    }
+}
+
+/// Everything zone `zi`'s solve reads of `window`, hashed: for every local
+/// sink, the window's allowed options in order and, for each option in
+/// every mode, the delay code [`crate::noise_table::SinkOption::delay_code_for`]
+/// gives it there (or that it fits no code). The inner solvers see the
+/// window through nothing else ([`ZoneInput::allowed`] and
+/// [`ZoneInput::push_option`]), so two windows with equal signatures pose
+/// the zone the same subproblem after the same predecessors. Computed from
+/// the zone specs and the tables alone, so the zone's vectors stay cold.
+pub(crate) fn window_signature(
+    prep: &PreparedRun,
+    zi: usize,
+    window: &FeasibleIntersection,
+) -> u64 {
+    use crate::checkpoint::step;
+    let sinks = &prep.zones[0].spec(zi).sinks;
+    let mut h = step(0x7769_6e64_6f77_7367, sinks.len() as u64);
+    for (local, &si) in sinks.iter().enumerate() {
+        let allowed = &window.allowed[si];
+        h = step(h, allowed.len() as u64);
+        for &opt in allowed {
+            h = step(h, opt as u64);
+            for (m, (storage, table)) in prep.zones.iter().zip(&prep.tables).enumerate() {
+                let (lo, hi) = window.windows[m];
+                let option = &table.sinks[storage.spec(zi).sinks[local]].options[opt];
+                h = match option.delay_code_for(lo, hi) {
+                    Some(code) => step(step(h, 1), code.value().to_bits()),
+                    None => step(h, 0),
+                };
+            }
+        }
+    }
+    h
+}
+
 /// An inner solver assigns one zone's sinks inside one window. Solvers
 /// must be `Sync`: independent windows are solved concurrently on a
 /// worker pool, all through one shared solver instance.
@@ -840,11 +885,15 @@ pub(crate) fn optimize_single_mode<S: ZoneSolver>(
 /// here — ClkWaveMin, sessions, ClkWaveMin-f, ClkPeakMin and, with one
 /// window per mode, ClkWaveMin-M.
 ///
+/// Windows that pose a zone the same subproblem share its key (see
+/// [`window_signature`]), and a run-local memo solves each key once per
+/// run; the later windows splice it and count it as `zones_repeated`.
 /// With a [`ZoneStore`] attached (checkpoint journal or the serve-mode
 /// [`crate::checkpoint::ZoneCache`]) and its chain seed (which must
 /// capture the solver config, see
-/// [`crate::checkpoint::config_fingerprint`]), zones whose chain key hits
-/// are spliced bit-for-bit and counted as `zones_reused`.
+/// [`crate::checkpoint::config_fingerprint`]), the memo's misses first
+/// consult the store: zones whose key hits there are spliced bit-for-bit
+/// and counted as `zones_reused`.
 ///
 /// Each ranked candidate's exact re-validated skew lands in the observer's
 /// event journal as a `candidate` instant (a diagnosis aid for
@@ -951,8 +1000,11 @@ pub(crate) type WindowResult = Result<Option<(f64, Assignment)>, WaveMinError>;
 /// Solves every window of `prep`, chaining zones through the accumulated
 /// background inside each one. Windows are independent, so they fan out
 /// over the worker pool and come back in input order (bit-identical to a
-/// sequential run). Also returns the zones that faulted and were salvaged,
-/// sorted.
+/// sequential run). Each distinct zone key is solved once: the run-local
+/// memo's in-flight reservations make a window that reaches a key another
+/// window is solving wait and splice the result, so the counters do not
+/// depend on the worker count either. Also returns the zones that faulted
+/// and were salvaged, sorted.
 pub(crate) fn solve_windows<S: ZoneSolver>(
     config: &WaveMinConfig,
     prep: &PreparedRun,
@@ -974,6 +1026,12 @@ pub(crate) fn solve_windows<S: ZoneSolver>(
 
     // Zones that faulted and were salvaged, across all windows.
     let faulted = std::sync::Mutex::new(std::collections::BTreeSet::new());
+    // Every distinct zone subproblem of this run, solved once. At most one
+    // entry per (window, zone) slot; dropped when the solve returns.
+    let memo = ZoneCache::new(usize::MAX);
+    // The memo lives for one run of one config, so without a store to
+    // share keys with, any fixed seed will do.
+    let seed = store.map_or(0, |(_, seed)| seed);
 
     // Solve one zone with fault containment: a panic (or an injected
     // fault surfacing as `ZoneFault`) is noted, then retried once through
@@ -1025,70 +1083,75 @@ pub(crate) fn solve_windows<S: ZoneSolver>(
         }
     };
 
+    // The first window of the run to reach `key`: splice it from the store
+    // if that vouches for it, otherwise solve it here and record it there.
+    // `None` when the zone has no feasible option in the window.
+    let solve_first = |zi: usize,
+                       key: u64,
+                       window: &FeasibleIntersection,
+                       accumulated: &[BackgroundAccumulator]|
+     -> Result<Option<ZoneSolution>, WaveMinError> {
+        // The store's reservation, if any, marks the key in flight for
+        // concurrent jobs; a successful record resolves it to a hit.
+        let _reservation = match store.map(|(s, _)| s.acquire(key)) {
+            Some(StoreAcquire::Hit(hit)) => {
+                registry.record_zone_reused();
+                return Ok(Some(ZoneSolution::from(hit)));
+            }
+            Some(StoreAcquire::Solve(reservation)) => reservation,
+            None => None,
+        };
+        // The hot zone (and the solver's Pareto tables) lives only for
+        // this solve.
+        let hot: Vec<Arc<ZoneProblem>> = prep
+            .zones
+            .iter()
+            .zip(&prep.tables)
+            .map(|(storage, table)| storage.acquire(zi, table, registry))
+            .collect();
+        let input = ZoneInput {
+            tables: &prep.tables,
+            zones: &hot,
+            window,
+            accumulated,
+        };
+        let sol = match contained_solve(zi, &input) {
+            Ok(sol) => sol,
+            Err(WaveMinError::NoFeasibleInterval) => return Ok(None),
+            Err(e) => return Err(e),
+        };
+        if let Some((s, _)) = store {
+            s.record(key, sol.cost.to_bits(), &sol.choices)?;
+        }
+        Ok(Some(sol))
+    };
+
     let solve_window = |window: &FeasibleIntersection| -> WindowResult {
         let _span = (modes > 1).then(|| registry.span(Stage::Intersection));
         let mut cost = 0.0_f64;
         let mut assignment = Assignment::new();
         let mut accumulated = vec![BackgroundAccumulator::zero(); modes];
-        // Keyed by mode 0's window: only single-mode flows pass a store.
-        let mut chain = store.map(|(_, seed)| {
-            let (t_lo, t_hi) = window.windows[0];
-            crate::checkpoint::ZoneKeyChain::new(seed, t_lo, t_hi)
-        });
+        let mut chain = ZoneKeyChain::new(seed);
         for &zi in &prep.zone_order {
-            let key = chain.as_ref().map(|c| c.key_for(prep.zone_hashes[zi]));
-            let acquired = match (store, key) {
-                (Some((s, _)), Some(k)) => Some(s.acquire(k)),
-                _ => None,
-            };
-            let sol = match acquired {
-                Some(StoreAcquire::Hit(hit)) => {
-                    // Splicing a stored solution needs only the zone's
-                    // spec: the vectors stay cold.
-                    registry.record_zone_reused();
-                    ZoneSolution {
-                        choices: hit.choices_ps(),
-                        cost: hit.cost(),
-                    }
+            let key = chain.key_for(prep.zone_hashes[zi], window_signature(prep, zi, window));
+            // Splicing a stored solution needs only the zone's spec: the
+            // vectors stay cold.
+            let sol = match memo.acquire(key) {
+                StoreAcquire::Hit(hit) => {
+                    registry.record_zone_repeated();
+                    ZoneSolution::from(hit)
                 }
-                other => {
-                    // Miss (or no store): solve here. The reservation, if
-                    // any, marks the key in flight for concurrent jobs;
-                    // it is released on every exit path, and a successful
-                    // record resolves it to a hit.
-                    let _reservation = match other {
-                        Some(StoreAcquire::Solve(r)) => r,
-                        _ => None,
+                StoreAcquire::Solve(_first) => {
+                    // Windows reaching the key meanwhile wait on this
+                    // reservation, which every exit path releases.
+                    let Some(sol) = solve_first(zi, key, window, &accumulated)? else {
+                        return Ok(None);
                     };
-                    // The hot zone (and the solver's Pareto tables) lives
-                    // only for this solve; it drops at the end of the arm.
-                    let hot: Vec<Arc<ZoneProblem>> = prep
-                        .zones
-                        .iter()
-                        .zip(&prep.tables)
-                        .map(|(storage, table)| storage.acquire(zi, table, registry))
-                        .collect();
-                    let input = ZoneInput {
-                        tables: &prep.tables,
-                        zones: &hot,
-                        window,
-                        accumulated: &accumulated,
-                    };
-                    match contained_solve(zi, &input) {
-                        Ok(sol) => {
-                            if let (Some((s, _)), Some(k)) = (store, key) {
-                                s.record(k, sol.cost.to_bits(), &sol.choices)?;
-                            }
-                            sol
-                        }
-                        Err(WaveMinError::NoFeasibleInterval) => return Ok(None),
-                        Err(e) => return Err(e),
-                    }
+                    memo.record(key, sol.cost.to_bits(), &sol.choices)?;
+                    sol
                 }
             };
-            if let Some(c) = chain.as_mut() {
-                c.absorb(prep.zone_hashes[zi], sol.cost.to_bits(), &sol.choices);
-            }
+            chain.absorb(prep.zone_hashes[zi], sol.cost.to_bits(), &sol.choices);
             obs.progress.zone_done();
             cost = cost.max(sol.cost);
             for (local, choices) in sol.choices.chunks(modes).enumerate() {
@@ -1250,6 +1313,66 @@ pub(crate) fn count_kind(design: &Design, kind: CellKind) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn window_signature_reads_only_what_the_zone_sees() {
+        use crate::prelude::Benchmark;
+        // Adjustable leaves: each sink may use ADB_X8 or ADI_X8, and their
+        // delay codes follow the window's bounds.
+        let mut design = Design::from_benchmark(&Benchmark::s15850(), 7);
+        for leaf in design.leaves() {
+            design.tree.set_cell(leaf, "ADB_X8");
+        }
+        let config = WaveMinConfig::default().with_sample_count(8);
+        let prep = characterize_design(&design, &config, &Observer::default()).expect("prepare");
+        let chain = ZoneKeyChain::new(1);
+        let key = |zi: usize, w: &FeasibleIntersection| {
+            chain.key_for(prep.zone_hashes[zi], window_signature(&prep, zi, w))
+        };
+        let mut zones =
+            (0..prep.zone_hashes.len()).filter(|&z| !prep.zones[0].spec(z).sinks.is_empty());
+        let (a, b) = (zones.next().expect("zone a"), zones.next().expect("zone b"));
+        let window = &prep.windows[0];
+
+        // Narrowing a sink of zone b leaves zone a's subproblem as it was.
+        let outside = prep.zones[0].spec(b).sinks[0];
+        let mut narrowed = window.clone();
+        narrowed.allowed[outside].truncate(1);
+        assert_ne!(
+            narrowed.allowed, window.allowed,
+            "fixture must narrow a sink"
+        );
+        assert_eq!(
+            key(a, window),
+            key(a, &narrowed),
+            "options outside the zone"
+        );
+        assert_ne!(key(b, window), key(b, &narrowed), "options inside the zone");
+
+        // Two windows of equal width, the second one adjustment step
+        // later: zone a's first adjustable option needs a different code.
+        let si = prep.zones[0].spec(a).sinks[0];
+        let option = &prep.tables[0].sinks[si].options[window.allowed[si][0]];
+        assert!(option.is_adjustable(), "fixture must use an ADB/ADI option");
+        let step = option.adjust_range.value() / f64::from(option.adjust_steps);
+        let width = window.windows[0].1.value() - window.windows[0].0.value();
+        let at = |lo: f64| {
+            let mut w = window.clone();
+            w.windows[0] = (Picoseconds::new(lo), Picoseconds::new(lo + width));
+            w
+        };
+        let (early, late) = (
+            at(option.arrival.value()),
+            at(option.arrival.value() + step),
+        );
+        let code = |w: &FeasibleIntersection| option.delay_code_for(w.windows[0].0, w.windows[0].1);
+        assert_ne!(
+            code(&early),
+            code(&late),
+            "fixture must move the delay code"
+        );
+        assert_ne!(key(a, &early), key(a, &late), "a moved delay code");
+    }
 
     #[test]
     fn improvement_percentage() {

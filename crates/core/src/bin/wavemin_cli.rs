@@ -654,6 +654,9 @@ fn optimize(flags: &Flags) -> Result<(), CliError> {
         }
         obs.progress = stderr_progress_ticker();
     }
+    // A sharded run names each contained fault as `shard:zone`; zone ids
+    // alone repeat across shards.
+    let mut shard_faults: Option<Vec<(usize, usize)>> = None;
     let outcome = match (algorithm, shard_sinks) {
         ("wavemin", Some(max_sinks)) => {
             wavemin::shardrun::optimize_sharded(&design, &config, max_sinks).map(|sharded| {
@@ -674,6 +677,7 @@ fn optimize(flags: &Flags) -> Result<(), CliError> {
                         ""
                     }
                 );
+                shard_faults = Some(sharded.faulted_zones);
                 sharded.outcome
             })
         }
@@ -690,10 +694,18 @@ fn optimize(flags: &Flags) -> Result<(), CliError> {
     .map_err(|e| CliError::from(&e))?;
 
     if !outcome.faulted_zones.is_empty() {
+        let zones: Vec<String> = match &shard_faults {
+            Some(pairs) => pairs.iter().map(|(s, z)| format!("{s}:{z}")).collect(),
+            None => outcome
+                .faulted_zones
+                .iter()
+                .map(ToString::to_string)
+                .collect(),
+        };
         eprintln!(
-            "note: {} zone worker fault(s) contained (zones {:?}); the salvaged outcome is valid",
-            outcome.faulted_zones.len(),
-            outcome.faulted_zones
+            "note: {} zone worker fault(s) contained (zones [{}]); the salvaged outcome is valid",
+            zones.len(),
+            zones.join(", ")
         );
     }
     if let Some(d) = &outcome.degradation {
@@ -744,9 +756,11 @@ fn optimize(flags: &Flags) -> Result<(), CliError> {
     eprintln!("degenerate zones: {}", outcome.degenerate_zones);
     if let Some(report) = &outcome.report {
         eprintln!(
-            "metrics: ladder rung {}, {} zone solves, {} labels created, intern hit rate {:.1} %",
+            "metrics: ladder rung {}, {} zone solves, {} zones repeated, {} labels created, \
+             intern hit rate {:.1} %",
             report.ladder_rung,
             report.counters.zone_solves,
+            report.counters.zones_repeated,
             report.counters.labels_created,
             report.counters.intern_hit_rate() * 100.0
         );

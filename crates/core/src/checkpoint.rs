@@ -7,24 +7,30 @@
 //! the same keying scheme into [`ZoneCache`], an LRU-bounded in-memory
 //! map shared by concurrent jobs, so a re-submitted design with local
 //! edits splices cached results for clean zones and re-solves only dirty
-//! ones. Keys are *content* hashes, so a stale or foreign entry can never
-//! be mistaken for a hit — it is simply never looked up.
+//! ones. Every run also keeps an unbounded run-local [`ZoneCache`] in
+//! front of either store, so a zone subproblem that several windows pose
+//! identically is solved once per run. Keys are *content* hashes, so a
+//! stale or foreign entry can never be mistaken for a hit — it is simply
+//! never looked up.
 //!
 //! # Format
 //!
 //! ```text
-//! wavemin-checkpoint v2 fingerprint=<hex16>
+//! wavemin-checkpoint v3 fingerprint=<hex16>
 //! zone <key hex16> <cost-bits hex16> <n> <sink>:<code-bits hex16> ...
 //! ```
 //!
 //! The header fingerprint hashes the characterized design and the solver
 //! configuration; a mismatch invalidates every entry. Each entry's key is
-//! drawn from a per-interval *hash chain* ([`ZoneKeyChain`]): the chain
-//! starts from a seed (the solver-config fingerprint) and the interval
-//! bounds, and absorbs every earlier zone's *content hash* and solution
-//! in solve order. Zones are solved against the accumulated background
-//! noise of their predecessors, so a zone's key changes whenever anything
-//! it depends on changes — hit means bit-for-bit reusable. Keying by zone
+//! drawn from a per-window *hash chain* ([`ZoneKeyChain`]): the chain
+//! starts from a seed (the solver-config fingerprint) and absorbs every
+//! earlier zone's *content hash* and solution in solve order. Zones are
+//! solved against the accumulated background noise of their
+//! predecessors, so a zone's key changes whenever anything it depends on
+//! changes — hit means bit-for-bit reusable. The window itself enters
+//! each key only through the zone's *window signature* (which options
+//! its sinks may use there, and with which delay codes), so two windows
+//! that pose a zone the same subproblem share its key. Keying by zone
 //! content rather than zone index is what lets an edited design reuse the
 //! untouched prefix of a solve: the clean zones hash identically and walk
 //! the same chain. Costs and delay codes are stored as raw `f64` bit
@@ -47,7 +53,9 @@ use wavemin_cells::units::Picoseconds;
 
 /// Journal format version; bumped on any incompatible layout change.
 /// `v2`: chain keys absorb zone content hashes instead of zone indices.
-pub const FORMAT_VERSION: &str = "v2";
+/// `v3`: chains are no longer seeded with the window bounds; each key
+/// folds in the zone's window signature instead.
+pub const FORMAT_VERSION: &str = "v3";
 
 const HEADER_TAG: &str = "wavemin-checkpoint";
 
@@ -83,7 +91,7 @@ pub fn design_fingerprint(design: &Design, config: &WaveMinConfig) -> Result<u64
 
 /// Fingerprint of the solver configuration alone, with the same
 /// run-plumbing normalization as [`design_fingerprint`]. This seeds the
-/// per-interval [`ZoneKeyChain`]: the design itself enters the chain
+/// per-window [`ZoneKeyChain`]: the design itself enters the chain
 /// through per-zone content hashes, so two sessions holding *different*
 /// designs still share cache entries for zones whose characterized
 /// content is identical — the incremental-re-solve path.
@@ -135,30 +143,30 @@ impl CachedZone {
     }
 }
 
-/// The per-interval key chain. Seeded from the config fingerprint and the
-/// interval bounds; absorbs each solved zone's content hash and solution
-/// in solve order so a zone's key covers everything its
-/// accumulated-background input depends on.
+/// The per-window key chain. Seeded from the config fingerprint alone;
+/// absorbs each solved zone's content hash and solution in solve order so
+/// a zone's key covers everything its accumulated-background input
+/// depends on. The window enters through each key's window signature,
+/// never through the seed, so windows that pose a zone the same
+/// subproblem after the same predecessors share its key.
 #[derive(Debug, Clone)]
 pub struct ZoneKeyChain {
     h: u64,
 }
 
 impl ZoneKeyChain {
-    /// Starts a chain for one feasible interval.
+    /// Starts a chain for one window.
     #[must_use]
-    pub fn new(seed: u64, t_lo: Picoseconds, t_hi: Picoseconds) -> Self {
-        let mut h = seed;
-        h = step(h, t_lo.value().to_bits());
-        h = step(h, t_hi.value().to_bits());
-        Self { h }
+    pub fn new(seed: u64) -> Self {
+        Self { h: seed }
     }
 
-    /// The lookup/record key for the zone whose characterized content
-    /// hashes to `content` at the chain's current state.
+    /// The lookup/record key, at the chain's current state, for the zone
+    /// whose characterized content hashes to `content` and whose window
+    /// signature (what the window lets its sinks use) is `window`.
     #[must_use]
-    pub fn key_for(&self, content: u64) -> u64 {
-        step(self.h, content ^ 0x5a5a_5a5a_5a5a_5a5a)
+    pub fn key_for(&self, content: u64, window: u64) -> u64 {
+        step(step(self.h, content ^ 0x5a5a_5a5a_5a5a_5a5a), window)
     }
 
     /// Absorbs a completed zone's content and solution, advancing the
@@ -339,8 +347,9 @@ impl CheckpointJournal {
 
 impl ZoneStore for CheckpointJournal {
     fn acquire(&self, key: u64) -> StoreAcquire<'_> {
-        // A single run never races two workers onto the same key (each
-        // interval walks its own chain), so no in-flight reservation.
+        // A single run never races two workers onto the same key (the
+        // run-local memo in front of the journal already dedups windows
+        // that share one), so no in-flight reservation.
         match self.lookup(key) {
             Some(hit) => StoreAcquire::Hit(hit),
             None => StoreAcquire::Solve(None),
@@ -451,10 +460,11 @@ struct CacheInner {
     stats: CacheStats,
 }
 
-/// The serve-mode in-memory zone store: a content-keyed LRU map shared by
-/// concurrent jobs. A miss reserves the key, so two jobs racing onto the
-/// same zone never duplicate the solve — the loser blocks on the
-/// reservation and splices the winner's result.
+/// The in-memory zone store: a content-keyed LRU map shared by concurrent
+/// jobs in serve mode, and by concurrent windows as each run's local memo.
+/// A miss reserves the key, so two jobs (or windows) racing onto the same
+/// zone never duplicate the solve — the loser blocks on the reservation
+/// and splices the winner's result.
 pub struct ZoneCache {
     max_bytes: usize,
     inner: Mutex<CacheInner>,
@@ -703,12 +713,17 @@ mod tests {
 
     #[test]
     fn key_chain_is_order_and_content_sensitive() {
-        let a0 = ZoneKeyChain::new(9, ps(1.0), ps(2.0));
-        let b0 = ZoneKeyChain::new(9, ps(1.0), ps(2.5));
-        assert_ne!(a0.key_for(0), b0.key_for(0), "interval bounds feed the key");
+        let a0 = ZoneKeyChain::new(9);
+        let b0 = ZoneKeyChain::new(10);
+        assert_ne!(a0.key_for(0, 0), b0.key_for(0, 0), "the seed feeds the key");
         assert_ne!(
-            a0.key_for(0),
-            a0.key_for(1),
+            a0.key_for(0, 0),
+            a0.key_for(0, 1),
+            "the window signature feeds the key"
+        );
+        assert_ne!(
+            a0.key_for(0, 0),
+            a0.key_for(1, 0),
             "distinct content, distinct keys"
         );
 
@@ -717,15 +732,15 @@ mod tests {
         a.absorb(0, 1.0_f64.to_bits(), &[(2, ps(3.0))]);
         b.absorb(0, 1.0_f64.to_bits(), &[(2, ps(4.0))]);
         assert_ne!(
-            a.key_for(1),
-            b.key_for(1),
+            a.key_for(1, 0),
+            b.key_for(1, 0),
             "a predecessor's choices change every later key"
         );
         let mut c = a0.clone();
         c.absorb(0, 1.0_f64.to_bits(), &[(2, ps(3.0))]);
         assert_eq!(
-            a.key_for(1),
-            c.key_for(1),
+            a.key_for(1, 0),
+            c.key_for(1, 0),
             "identical history, identical key"
         );
     }

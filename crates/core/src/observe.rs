@@ -108,6 +108,7 @@ struct Counters {
     zone_faults: AtomicU64,
     zone_salvages: AtomicU64,
     zones_reused: AtomicU64,
+    zones_repeated: AtomicU64,
     zones_spilled: AtomicU64,
     zone_recomputes: AtomicU64,
     /// Gauge, not a sum: the largest VmRSS sampled at a pipeline
@@ -472,11 +473,23 @@ impl MetricsRegistry {
         }
     }
 
-    /// Counts one zone result served from the checkpoint journal instead
-    /// of being re-solved.
+    /// Counts one zone result served from a store that outlives the run
+    /// (the checkpoint journal or the serve-mode cache) instead of being
+    /// re-solved.
     pub fn record_zone_reused(&self) {
         if let Some(inner) = self.inner.as_ref() {
             inner.counters.zones_reused.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Counts one zone result spliced from the run-local memo: an earlier
+    /// window of the same run posed the identical subproblem.
+    pub fn record_zone_repeated(&self) {
+        if let Some(inner) = self.inner.as_ref() {
+            inner
+                .counters
+                .zones_repeated
+                .fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -623,6 +636,7 @@ impl MetricsRegistry {
                 zone_faults: load(&c.zone_faults),
                 zone_salvages: load(&c.zone_salvages),
                 zones_reused: load(&c.zones_reused),
+                zones_repeated: load(&c.zones_repeated),
                 zones_spilled: load(&c.zones_spilled),
                 zone_recomputes: load(&c.zone_recomputes),
                 peak_rss_bytes: load(&c.peak_rss_bytes),
@@ -1004,10 +1018,18 @@ pub struct RunCounters {
     /// Faulted zones whose greedy salvage retry succeeded.
     #[serde(default)]
     pub zone_salvages: u64,
-    /// Zone results served from the checkpoint journal instead of being
-    /// re-solved (`--resume`).
+    /// Zone results served from a store that outlives the run (the
+    /// checkpoint journal on `--resume`, or the serve-mode cache) instead
+    /// of being re-solved.
     #[serde(default)]
     pub zones_reused: u64,
+    /// Zone results spliced from the run-local memo because an earlier
+    /// window of the same run posed the identical subproblem. Every
+    /// (window, zone) slot the run reached is exactly one of a solve, a
+    /// reuse or a repeat. Defaults to 0 in reports written before it
+    /// existed.
+    #[serde(default)]
+    pub zones_repeated: u64,
     /// Archived zones evicted from the streaming archive to stay under
     /// the memory budget. Environment-dependent (eviction order follows
     /// worker interleaving) — zeroed by [`RunReport::normalized`].
@@ -1818,6 +1840,7 @@ mod decode {
                 "zone_faults",
                 "zone_salvages",
                 "zones_reused",
+                "zones_repeated",
                 "zones_spilled",
                 "zone_recomputes",
                 "peak_rss_bytes",
@@ -1841,6 +1864,7 @@ mod decode {
             zone_faults: opt_u64_field(entries, "zone_faults")?,
             zone_salvages: opt_u64_field(entries, "zone_salvages")?,
             zones_reused: opt_u64_field(entries, "zones_reused")?,
+            zones_repeated: opt_u64_field(entries, "zones_repeated")?,
             zones_spilled: opt_u64_field(entries, "zones_spilled")?,
             zone_recomputes: opt_u64_field(entries, "zone_recomputes")?,
             peak_rss_bytes: opt_u64_field(entries, "peak_rss_bytes")?,
@@ -2076,6 +2100,14 @@ mod tests {
         assert_eq!(back.counters.zone_faults, 0);
         assert_eq!(back.counters.zones_reused, 0);
         back.validate().expect("defaults stay self-consistent");
+
+        // Reports written before the run-local zone memo lack its counter.
+        let pre_memo = json.replace(",\"zones_repeated\":0", "");
+        assert_ne!(pre_memo, json, "fixture must actually strip the field");
+        let back = RunReport::from_json(&pre_memo).expect("pre-memo report decodes");
+        assert_eq!(back.counters.zones_repeated, 0);
+        assert_eq!(back, report);
+        back.validate().expect("pre-memo report validates");
 
         // Older builds also stamped the kernel family's name; such a
         // report decodes to the same value, the name ignored.

@@ -157,6 +157,7 @@ fn summary_cards(report: &RunReport) -> String {
     let cards: &[(&str, String)] = &[
         ("zone solves", human(c.zone_solves)),
         ("zones reused", human(c.zones_reused)),
+        ("zones repeated", human(c.zones_repeated)),
         ("labels created", human(c.labels_created)),
         ("solver work", human(c.solver_work)),
         ("pareto paths", human(c.pareto_paths)),

@@ -427,10 +427,11 @@ fn execute_solve(
             if let Some(report) = out.report.as_ref() {
                 state.metrics.absorb_histograms(&report.histograms);
             }
-            let (zones_reused, zone_solves, ladder_rung) =
-                out.report.as_ref().map_or((0, 0, 0), |r| {
+            let (zones_reused, zones_repeated, zone_solves, ladder_rung) =
+                out.report.as_ref().map_or((0, 0, 0, 0), |r| {
                     (
                         r.counters.zones_reused,
+                        r.counters.zones_repeated,
                         r.counters.zone_solves,
                         r.ladder_rung as u64,
                     )
@@ -454,6 +455,7 @@ fn execute_solve(
                     Value::Float(out.skew_after.value()),
                 ),
                 ("zones_reused".to_string(), Value::UInt(zones_reused)),
+                ("zones_repeated".to_string(), Value::UInt(zones_repeated)),
                 ("zone_solves".to_string(), Value::UInt(zone_solves)),
                 ("ladder_rung".to_string(), Value::UInt(ladder_rung)),
                 (

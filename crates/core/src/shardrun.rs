@@ -20,11 +20,13 @@
 //! framework's own validation ladder. Every shard's own degradation
 //! steps and faulted zones are carried into the merged outcome in shard
 //! order (zone ids in them are shard-local), so a sharded run reports
-//! what it relaxed like an unsharded one. A shard's own identity
-//! fallback becomes a [`DegradationStep::ShardIdentityFallback`] when
-//! other shards' cells were kept, since then only that subtree was left
-//! unchanged. In practice equalized trees anchor every shard on
-//! near-identical arrival sets and the merge passes.
+//! what it relaxed like an unsharded one;
+//! [`ShardedOutcome::faulted_zones`] names each fault unambiguously as a
+//! (shard, zone) pair. A shard's own identity fallback becomes a
+//! [`DegradationStep::ShardIdentityFallback`] when other shards' cells
+//! were kept, since then only that subtree was left unchanged. In
+//! practice equalized trees anchor every shard on near-identical arrival
+//! sets and the merge passes.
 
 use crate::algo::{count_kind, finish_outcome, ClkWaveMin, Degradation, DegradationStep, Outcome};
 use crate::assignment::Assignment;
@@ -45,6 +47,10 @@ pub struct ShardedOutcome {
     pub shard_count: usize,
     /// Sinks per shard, in shard order.
     pub shard_sinks: Vec<usize>,
+    /// Every contained zone fault as `(shard, shard-local zone)`, in shard
+    /// order. Two shards can fault on the same local zone id, so this,
+    /// not the merged outcome's bare zone ids, identifies each fault.
+    pub faulted_zones: Vec<(usize, usize)>,
 }
 
 /// Optimizes a design shard-by-shard: at most `max_sinks_per_shard`
@@ -80,7 +86,7 @@ pub fn optimize_sharded(
         intervals_tried += out.intervals_tried;
         runtime += out.runtime;
         degenerate_zones += out.degenerate_zones;
-        faulted_zones.extend(out.faulted_zones);
+        faulted_zones.extend(out.faulted_zones.into_iter().map(|zone| (index, zone)));
         if let Some(d) = out.degradation {
             shard_records.push((index, d));
         }
@@ -138,11 +144,12 @@ pub fn optimize_sharded(
     };
     outcome.degenerate_zones = degenerate_zones;
     outcome.degradation = degradation;
-    outcome.faulted_zones = faulted_zones;
+    outcome.faulted_zones = faulted_zones.iter().map(|&(_, zone)| zone).collect();
     Ok(ShardedOutcome {
         outcome,
         shard_count,
         shard_sinks,
+        faulted_zones,
     })
 }
 
@@ -270,6 +277,9 @@ mod tests {
             if whole_record {
                 assert!(!plain.faulted_zones.is_empty(), "faults must fire");
                 assert_eq!(sharded.outcome.degradation, plain.degradation);
+                let pairs: Vec<(usize, usize)> =
+                    plain.faulted_zones.iter().map(|&zone| (0, zone)).collect();
+                assert_eq!(sharded.faulted_zones, pairs);
             }
             assert_eq!(sharded.outcome.assignment, plain.assignment);
             assert_eq!(
@@ -281,6 +291,31 @@ mod tests {
                 plain.skew_after.value().to_bits()
             );
         }
+
+        // With every zone faulting in several shards, the shards reuse
+        // local zone ids; the (shard, zone) list must still name each
+        // fault once.
+        let all_fault = WaveMinConfig::default()
+            .with_fault_plan(Some(crate::fault::FaultPlan { seed: 3, rate: 1.0 }));
+        let sharded = optimize_sharded(&design, &all_fault, 48).expect("sharded");
+        assert!(sharded.shard_count > 1, "expected a real split");
+        let faults = &sharded.faulted_zones;
+        assert_eq!(faults.len(), sharded.outcome.faulted_zones.len());
+        assert!(
+            faults.iter().any(|&(shard, _)| shard > 0),
+            "several shards must fault: {faults:?}"
+        );
+        assert!(
+            faults.windows(2).all(|w| w[0] < w[1]),
+            "(shard, zone) faults must be distinct and in shard order: {faults:?}"
+        );
+        let mut bare = sharded.outcome.faulted_zones.clone();
+        bare.sort_unstable();
+        bare.dedup();
+        assert!(
+            bare.len() < faults.len(),
+            "the fixture must reuse a local zone id across shards"
+        );
     }
 
     fn identity_fallbacks(outcome: &Outcome) -> usize {

@@ -222,6 +222,43 @@ fn checkpoint_resume_reproduces_the_uninterrupted_run_bit_for_bit() {
 }
 
 #[test]
+fn journal_in_an_older_format_starts_fresh() {
+    // Format v3 changed how zone keys are formed, so a v2 journal's keys
+    // mean nothing: resuming from one must solve every zone afresh and
+    // still reproduce the baseline.
+    let d = Design::from_benchmark(&Benchmark::s15850(), 7);
+    let cfg = base_config().with_threads(1).with_metrics(true);
+    let baseline = ClkWaveMin::new(cfg.clone()).run(&d).expect("baseline run");
+
+    let path = scratch("older-format.ckpt");
+    let _ = std::fs::remove_file(&path);
+    ClkWaveMin::new(cfg.clone().with_checkpoint(&path))
+        .run(&d)
+        .expect("checkpointed run");
+    let text = std::fs::read_to_string(&path).expect("read journal");
+    let (header, body) = text.split_once('\n').expect("journal header");
+    let older = header
+        .strip_prefix("wavemin-checkpoint v3 ")
+        .map(|rest| format!("wavemin-checkpoint v2 {rest}"))
+        .expect("current journals are v3");
+    assert!(!body.is_empty(), "the journal must hold zones");
+    std::fs::write(&path, format!("{older}\n{body}")).expect("rewrite header");
+
+    let resumed = ClkWaveMin::new(cfg.with_checkpoint(&path).with_resume(true))
+        .run(&d)
+        .expect("resumed run");
+    let counters = &resumed.report.as_ref().expect("report").counters;
+    assert_eq!(counters.zones_reused, 0, "no v2 entry may be trusted");
+    assert!(counters.zone_solves > 0, "every zone is solved afresh");
+    assert_eq!(baseline.assignment, resumed.assignment, "assignment");
+    assert_eq!(
+        baseline.peak_after.value().to_bits(),
+        resumed.peak_after.value().to_bits(),
+        "peak bits"
+    );
+}
+
+#[test]
 fn checkpoint_under_faults_resumes_identically() {
     // Faulted runs journal their *salvaged* results; a resume must replay
     // them without re-firing the injection (the zone is never re-solved).

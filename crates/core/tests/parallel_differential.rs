@@ -130,6 +130,47 @@ fn metrics_aggregate_identically_across_thread_counts() {
 }
 
 #[test]
+fn zone_memo_splits_every_window_zone_slot_independently_of_threads() {
+    // Windows that pose a zone the same subproblem share one solve. Every
+    // (window, zone) slot is a solve, a reuse or a repeat, and which one
+    // does not depend on the worker count.
+    let d = Design::from_benchmark(&Benchmark::s13207(), 3);
+    let cfg = WaveMinConfig::default()
+        .with_sample_count(16)
+        .with_metrics(true)
+        .with_fault_plan(None);
+    let runs: Vec<Outcome> = [1, 4]
+        .into_iter()
+        .map(|threads| {
+            ClkWaveMin::new(cfg.clone().with_threads(threads))
+                .run(&d)
+                .expect("run")
+        })
+        .collect();
+    let counters: Vec<(u64, u64, u64)> = runs
+        .iter()
+        .map(|out| {
+            let report = out.report.as_ref().expect("report");
+            let c = &report.counters;
+            assert!(c.zones_repeated > 0, "windows must repeat zone subproblems");
+            assert_eq!(
+                c.zone_solves + c.zones_repeated + c.zones_reused,
+                (out.intervals_tried * report.zones.len()) as u64,
+                "every (window, zone) slot is counted exactly once"
+            );
+            (c.zone_solves, c.zones_repeated, c.zones_reused)
+        })
+        .collect();
+    assert_eq!(counters[0], counters[1], "counters at 1 and 4 threads");
+    assert_outcomes_identical(&runs[0], &runs[1], "s13207 memo");
+    assert_eq!(
+        runs[0].estimated_cost.to_bits(),
+        runs[1].estimated_cost.to_bits(),
+        "cost bits"
+    );
+}
+
+#[test]
 fn report_counters_match_per_zone_sums() {
     let d = Design::from_benchmark(&Benchmark::s15850(), 7);
     let cfg = WaveMinConfig::default()
